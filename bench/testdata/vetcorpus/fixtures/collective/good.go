@@ -1,0 +1,41 @@
+package fixture
+
+// Both arms call the same collective: the sequences agree per rank.
+func matchedArms(c *Comm) {
+	if c.Rank() == 0 {
+		c.Barrier()
+	} else {
+		c.Barrier()
+	}
+}
+
+// Rank-divergent branch with no collectives at all: plain rank-local work.
+func rankLocalWork(c *Comm) {
+	x := 0
+	if c.Rank() == 0 {
+		x = 1
+	}
+	c.Barrier()
+	_ = x
+}
+
+// The root-only arm has no collectives and the others return before any;
+// continuation sequences are both empty.
+func rootOnlyEpilogue(c *Comm) {
+	sum := Allreduce(c, c.Rank(), func(a, b int) int { return a + b })
+	if c.Rank() != 0 {
+		return
+	}
+	_ = sum
+}
+
+// An early return in one arm paired with the same collective in the other
+// arm's continuation: rank 0 runs Barrier inside the if, everyone else
+// falls through to the same Barrier after it.
+func balancedEarlyPaths(c *Comm) {
+	if c.Rank() == 0 {
+		c.Barrier()
+		return
+	}
+	c.Barrier()
+}

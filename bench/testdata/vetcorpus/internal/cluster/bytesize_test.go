@@ -1,0 +1,94 @@
+package cluster
+
+import (
+	"fmt"
+	"testing"
+)
+
+type wireSized struct{ n int }
+
+func (w wireSized) WireSize() int { return w.n }
+
+type opaquePayload struct{ a, b int }
+
+// TestByteSizePinsEveryCase pins the wire-size model for every payload
+// type byteSize understands. The cost model (and therefore every recorded
+// SimTime) is downstream of these numbers: a silent change here shifts
+// every experiment's simulated microseconds, so each case is pinned
+// explicitly.
+func TestByteSizePinsEveryCase(t *testing.T) {
+	cases := []struct {
+		v    any
+		want int
+	}{
+		{nil, 0},
+		{struct{}{}, 0},
+		{true, 1},
+		{int8(-1), 1},
+		{uint8(255), 1},
+		{int16(-1), 2},
+		{uint16(65535), 2},
+		{int32(-1), 4},
+		{uint32(1), 4},
+		{float32(1.5), 4},
+		{int(42), 8},
+		{int64(-42), 8},
+		{uint(42), 8},
+		{uint64(42), 8},
+		{float64(3.14), 8},
+		{"hello", 5},
+		{"", 0},
+		{[]byte{1, 2, 3}, 3},
+		{[]int{1, 2, 3}, 24},
+		{[]int64{1}, 8},
+		{[]float64{1, 2, 3, 4}, 32},
+		{[]float32{1, 2}, 8},
+		{[]int32{1, 2, 3}, 12},
+		{[]uint64{1, 2}, 16},
+		{[]bool{true, false, true}, 3},
+		// Ragged rows: 8-byte length prefix per row plus 8 bytes/element.
+		{[][]float64{{1, 2}, {3}, {}}, (8 + 16) + (8 + 8) + 8},
+		{[][]float64{}, 0},
+		{[]string{"ab", "c"}, (2 + 8) + (1 + 8)},
+		// Custom payloads report their own size via Sizer.
+		{wireSized{n: 123}, 123},
+		// Unknown payloads fall back to a flat 64-byte estimate.
+		{opaquePayload{1, 2}, 64},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%T", tc.v), func(t *testing.T) {
+			if got := byteSize(tc.v); got != tc.want {
+				t.Errorf("byteSize(%#v) = %d, want %d", tc.v, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestUnknownSizeHook: payloads the model cannot size must invoke the
+// hook (so experiments can fail fast on silent 64-byte estimates), while
+// every known type must bypass it.
+func TestUnknownSizeHook(t *testing.T) {
+	saved := UnknownSizeHook
+	defer func() { UnknownSizeHook = saved }()
+
+	var seen []any
+	UnknownSizeHook = func(v any) { seen = append(seen, v) }
+
+	if got := byteSize(opaquePayload{3, 4}); got != 64 {
+		t.Errorf("unknown payload charged %d bytes, want flat 64", got)
+	}
+	if len(seen) != 1 {
+		t.Fatalf("hook called %d times, want 1", len(seen))
+	}
+	if p, ok := seen[0].(opaquePayload); !ok || p != (opaquePayload{3, 4}) {
+		t.Errorf("hook saw %#v, want the offending payload", seen[0])
+	}
+
+	seen = nil
+	for _, known := range []any{nil, true, int64(1), "x", []float64{1}, [][]float64{{1}}, wireSized{n: 5}} {
+		byteSize(known)
+	}
+	if len(seen) != 0 {
+		t.Errorf("hook fired for known types: %#v", seen)
+	}
+}

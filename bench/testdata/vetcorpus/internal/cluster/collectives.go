@@ -1,0 +1,563 @@
+package cluster
+
+import (
+	"fmt"
+
+	"repro/internal/obs"
+)
+
+// Collective matching: every rank must call the same sequence of
+// collectives on its Comm (the usual MPI requirement). Each call consumes
+// one tag from a reserved negative tag space so that collectives never
+// collide with user point-to-point traffic or with each other.
+const collTagBase = -(1 << 30)
+
+func (c *Comm) nextCollTag() int {
+	t := collTagBase - c.collSeq
+	c.collSeq++
+	return t
+}
+
+// Algorithm selection (see docs/substrates.md for the full table):
+//
+//	Barrier    dissemination (any P), ~alpha*ceil(log2 P) critical path
+//	Bcast      binomial tree (any P)
+//	Reduce     binomial tree (any P)
+//	Allreduce  recursive doubling when P is a power of two and the payload
+//	           is snapshotable (scalars, strings, the common slice types,
+//	           Cloner); binomial reduce+bcast otherwise
+//	Allgather  recursive doubling when P is a power of two; linear
+//	           gather + tree bcast otherwise
+//	Gather     binomial tree (O(log P) latency at the root; forwards
+//	           leaf bytes up to log P times, the classic tradeoff)
+//	Scatter    binomial tree, the mirror of Gather
+//	Alltoall   pairwise exchange (XOR partners for power-of-two P, ring
+//	           offsets otherwise); same messages and bytes as the
+//	           baseline, but deterministic partners instead of AnySource
+//	Scan       linear chain, as in a textbook MPI_Scan
+//
+// Options.BaselineCollectives forces the reference algorithms everywhere.
+// Selection depends only on world-level state (P and the option), never
+// on payload sizes: sizes are rank-divergent (each rank sees only its own
+// contribution), and an algorithm choice the ranks disagree on changes
+// who receives from whom — a wire mismatch. MPI implementations switch on
+// message size only because every rank passes the same count; this
+// runtime's payloads carry no such contract.
+
+func (c *Comm) baselineColl() bool { return c.world.opts.BaselineCollectives }
+
+// fallbackInstant records that an optimized collective silently took its
+// reference algorithm on a shape the fast path does not cover (non-pow2
+// world, unsnapshotable payload). Without the marker a P=6 benchmark
+// reads like recursive doubling when it actually ran the linear
+// baseline; with a trace attached the downgrade is visible per call.
+// The emitted instant is "coll.fallback" with the collective in the op
+// kv (1 = Allreduce, 2 = Allgather) and the reason kv (1 = non-pow2
+// world, 2 = payload not snapshotable). Never emitted under
+// Options.BaselineCollectives: that is an explicit request, not a
+// silent downgrade.
+func (c *Comm) fallbackInstant(op, reason int64) {
+	if c.rec != nil {
+		c.rec.Instant("coll.fallback", -1, 0, 0, c.clock,
+			obs.KV{K: "op", V: op}, obs.KV{K: "reason", V: reason})
+	}
+}
+
+// fallbackInstant op/reason codes (obs.KV values are int64).
+const (
+	fallbackAllreduce = int64(1)
+	fallbackAllgather = int64(2)
+
+	fallbackNonPow2 = int64(1)
+	fallbackNonSnap = int64(2)
+)
+
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
+// Cloner lets custom payload types opt into the recursive-doubling
+// Allreduce, which must snapshot the accumulator before each exchange so
+// a rank never mutates a buffer its partner is still reading.
+type Cloner interface {
+	// CloneWire returns a copy that shares no mutable state with the
+	// receiver. The returned value must have the payload's own type.
+	CloneWire() any
+}
+
+// clonePayload snapshots v for the recursive-doubling exchange. The bool
+// reports whether v's type is snapshotable at all; value types (scalars,
+// strings, struct{}) are their own snapshot.
+func clonePayload[T any](v T) (T, bool) {
+	switch x := any(v).(type) {
+	case nil, bool, int8, uint8, int16, uint16, int32, uint32, int, uint,
+		int64, uint64, uintptr, float32, float64, complex64, complex128,
+		string, struct{}:
+		return v, true
+	case []float64:
+		return any(append([]float64(nil), x...)).(T), true
+	case []float32:
+		return any(append([]float32(nil), x...)).(T), true
+	case []int:
+		return any(append([]int(nil), x...)).(T), true
+	case []int32:
+		return any(append([]int32(nil), x...)).(T), true
+	case []int64:
+		return any(append([]int64(nil), x...)).(T), true
+	case []uint64:
+		return any(append([]uint64(nil), x...)).(T), true
+	case []byte:
+		return any(append([]byte(nil), x...)).(T), true
+	case []bool:
+		return any(append([]bool(nil), x...)).(T), true
+	case Cloner:
+		return x.CloneWire().(T), true
+	default:
+		return v, false
+	}
+}
+
+// segmentBytes models the wire size of a batch of values, element by
+// element, so tree Gather/Scatter account exactly for what they forward.
+func segmentBytes[T any](seg []T) int {
+	n := 0
+	for i := range seg {
+		n += byteSize(seg[i])
+	}
+	return n
+}
+
+// Barrier blocks until every rank has entered it. It is a dissemination
+// barrier: ceil(log2 P) rounds in which rank r signals r+2^k and waits
+// for r-2^k, so its simulated cost is ~alpha*ceil(log2 P) — half the
+// depth of the baseline reduce+bcast tree.
+func (c *Comm) Barrier() {
+	c.beginColl("Barrier", -1)
+	defer c.endColl()
+	tag := c.nextCollTag()
+	if c.baselineColl() {
+		reduceTree(c, 0, tag, struct{}{}, func(a, _ struct{}) struct{} { return a })
+		bcastTree(c, 0, tag, struct{}{})
+		return
+	}
+	size := c.Size()
+	for off := 1; off < size; off <<= 1 {
+		c.sendRaw((c.rank+off)%size, tag, struct{}{}, 0)
+		c.recvRaw((c.rank-off+size)%size, tag)
+	}
+}
+
+// Bcast distributes root's value to every rank along a binomial tree and
+// returns it. Non-root ranks pass their (ignored) local v.
+func Bcast[T any](c *Comm, root int, v T) T {
+	c.beginColl("Bcast", root)
+	defer c.endColl()
+	return bcastTree(c, root, c.nextCollTag(), v)
+}
+
+// Reduce folds every rank's contribution with op along a binomial tree.
+// The reduced value is returned on root; other ranks get their partial
+// (which callers should ignore). op must be associative and commutative;
+// it may mutate and return its first argument.
+func Reduce[T any](c *Comm, root int, v T, op func(a, b T) T) T {
+	c.beginColl("Reduce", root)
+	defer c.endColl()
+	return reduceTree(c, root, c.nextCollTag(), v, op)
+}
+
+// Allreduce folds every rank's contribution with op and returns the fully
+// reduced value on every rank. For power-of-two worlds with snapshotable
+// payloads it runs recursive doubling (log2 P rounds, half the baseline's
+// critical path); otherwise it falls back to reduce-to-0 plus broadcast.
+// op must be associative and commutative (exactly commutative for
+// bit-identical results on every rank); it may mutate and return its
+// first argument.
+func Allreduce[T any](c *Comm, v T, op func(a, b T) T) T {
+	c.beginColl("Allreduce", -1)
+	defer c.endColl()
+	tag := c.nextCollTag()
+	size := c.Size()
+	if !c.baselineColl() && size > 1 {
+		if !isPow2(size) {
+			c.fallbackInstant(fallbackAllreduce, fallbackNonPow2)
+		} else if acc, ok := clonePayload(v); ok {
+			// The gate's clone doubles as the private accumulator: ops
+			// commonly mutate and return their first operand, and the
+			// payload-reuse contract promises the caller's argument stays
+			// read-only and unaliased by the result.
+			return rdAllreduce(c, tag, acc, op)
+		} else {
+			c.fallbackInstant(fallbackAllreduce, fallbackNonSnap)
+		}
+	}
+	r := reduceTree(c, 0, tag, v, op)
+	if c.rank == 0 {
+		// The reduced value may alias the caller's payload (reduction ops
+		// commonly fold in place and return their first operand), so the
+		// root broadcasts a snapshot. Together with the recursive-doubling
+		// path, which only ever sends clones, this makes the Allreduce
+		// payload argument reusable as soon as the call returns — the
+		// contract the analyzer's ownership and hotalloc rules rely on.
+		if snap, ok := clonePayload(r); ok {
+			r = snap
+		}
+	}
+	return bcastTree(c, 0, tag, r)
+}
+
+// rdAllreduce is the recursive-doubling exchange: in round k every rank
+// swaps accumulators with rank^2^k and folds. Each rank sends a snapshot
+// of its accumulator, never the live value, because op may mutate its
+// first argument in place while the partner is still reading what it
+// received — the in-process, zero-copy analogue of MPI's private buffers.
+// rdAllreduce runs recursive doubling. acc must already be a private
+// snapshot of the caller's payload (Allreduce's snapshotability gate
+// provides it), so the fold never touches the caller's buffer.
+func rdAllreduce[T any](c *Comm, tag int, acc T, op func(a, b T) T) T {
+	for mask := 1; mask < c.Size(); mask <<= 1 {
+		partner := c.rank ^ mask
+		snap, ok := clonePayload(acc)
+		if !ok {
+			panic(fmt.Sprintf("cluster: Allreduce payload became unsnapshotable mid-collective (%T)", acc))
+		}
+		c.sendRaw(partner, tag, snap, byteSize(snap))
+		msg := c.recvRaw(partner, tag)
+		acc = op(acc, msg.payload.(T))
+	}
+	return acc
+}
+
+// Gather collects one value from every rank. On root it returns a slice
+// indexed by rank; on other ranks it returns nil. Contributions ride a
+// binomial tree: the root absorbs O(log P) aggregated messages instead of
+// P-1 serial ones.
+func Gather[T any](c *Comm, root int, v T) []T {
+	c.beginColl("Gather", root)
+	defer c.endColl()
+	tag := c.nextCollTag()
+	if c.baselineColl() || c.Size() == 1 {
+		return gatherLinear(c, root, tag, v)
+	}
+	return gatherTree(c, root, tag, v)
+}
+
+func gatherLinear[T any](c *Comm, root, tag int, v T) []T {
+	if c.rank != root {
+		c.sendRaw(root, tag, v, byteSize(v))
+		return nil
+	}
+	out := make([]T, c.Size())
+	out[root] = v
+	for r := 0; r < c.Size(); r++ {
+		if r == root {
+			continue
+		}
+		msg := c.recvRaw(r, tag)
+		out[r] = msg.payload.(T)
+	}
+	return out
+}
+
+// gatherTree runs the binomial gather on root-relative ranks: each
+// subtree leader accumulates the contiguous segment of relative ranks it
+// covers and forwards it to its parent in one message.
+func gatherTree[T any](c *Comm, root, tag int, v T) []T {
+	size := c.Size()
+	rel := (c.rank - root + size) % size
+	seg := make([]T, 1, 2)
+	seg[0] = v // seg[i] holds relative rank rel+i's value
+	for mask := 1; mask < size; mask <<= 1 {
+		if rel&mask != 0 {
+			dst := ((rel &^ mask) + root) % size
+			c.sendRaw(dst, tag, seg, segmentBytes(seg))
+			return nil
+		}
+		srcRel := rel | mask
+		if srcRel < size {
+			msg := c.recvRaw((srcRel+root)%size, tag)
+			seg = append(seg, msg.payload.([]T)...)
+		}
+	}
+	out := make([]T, size)
+	for i, x := range seg {
+		out[(i+root)%size] = x
+	}
+	return out
+}
+
+// Allgather collects one value from every rank and returns the full
+// rank-indexed slice on every rank. Power-of-two worlds run recursive
+// doubling (log2 P rounds of block exchanges); otherwise it is a linear
+// gather to rank 0 followed by a tree broadcast.
+func Allgather[T any](c *Comm, v T) []T {
+	c.beginColl("Allgather", -1)
+	defer c.endColl()
+	tag := c.nextCollTag()
+	size := c.Size()
+	if c.baselineColl() || size == 1 || !isPow2(size) {
+		if !c.baselineColl() && size > 1 {
+			c.fallbackInstant(fallbackAllgather, fallbackNonPow2)
+		}
+		return allgatherLinear(c, tag, v)
+	}
+	out := make([]T, size)
+	out[c.rank] = v
+	for mask := 1; mask < size; mask <<= 1 {
+		partner := c.rank ^ mask
+		myBase := c.rank &^ (mask - 1)
+		seg := out[myBase : myBase+mask]
+		// The partner only reads this window, and this rank never writes
+		// inside its own (growing) block again, so sharing the live slice
+		// is race-free.
+		c.sendRaw(partner, tag, seg, segmentBytes(seg))
+		msg := c.recvRaw(partner, tag)
+		copy(out[partner&^(mask-1):], msg.payload.([]T))
+	}
+	return out
+}
+
+func allgatherLinear[T any](c *Comm, tag int, v T) []T {
+	var all []T
+	if c.rank != 0 {
+		c.sendRaw(0, tag, v, byteSize(v))
+	} else {
+		all = make([]T, c.Size())
+		all[0] = v
+		for r := 1; r < c.Size(); r++ {
+			msg := c.recvRaw(r, tag)
+			all[r] = msg.payload.(T)
+		}
+	}
+	return bcastTree(c, 0, tag, all)
+}
+
+// Scatter distributes parts[r] from root to rank r and returns this rank's
+// part. Only root's parts argument is consulted; it must have length Size.
+// Parts ride a binomial tree: the root hands off halves instead of P-1
+// serial sends.
+func Scatter[T any](c *Comm, root int, parts []T) T {
+	c.beginColl("Scatter", root)
+	defer c.endColl()
+	tag := c.nextCollTag()
+	size := c.Size()
+	if c.rank == root && len(parts) != size {
+		panic(fmt.Sprintf("cluster: Scatter needs %d parts, got %d", size, len(parts)))
+	}
+	if size == 1 {
+		return parts[root]
+	}
+	if c.baselineColl() {
+		return scatterLinear(c, root, tag, parts)
+	}
+	return scatterTree(c, root, tag, parts)
+}
+
+func scatterLinear[T any](c *Comm, root, tag int, parts []T) T {
+	if c.rank == root {
+		for r := 0; r < c.Size(); r++ {
+			if r == root {
+				continue
+			}
+			c.sendRaw(r, tag, parts[r], byteSize(parts[r]))
+		}
+		return parts[root]
+	}
+	msg := c.recvRaw(root, tag)
+	return msg.payload.(T)
+}
+
+// scatterTree is the binomial mirror of gatherTree: the root peels off
+// the top half of the (root-relative) parts for its highest child, that
+// child recurses, and so on; each rank ends holding the segment that
+// starts with its own part.
+func scatterTree[T any](c *Comm, root, tag int, parts []T) T {
+	size := c.Size()
+	rel := (c.rank - root + size) % size
+	var seg []T // covers relative ranks [rel, rel+len(seg))
+	mask := 1
+	if rel == 0 {
+		seg = make([]T, size)
+		for i := range seg {
+			seg[i] = parts[(i+root)%size]
+		}
+		for mask < size {
+			mask <<= 1
+		}
+	} else {
+		for mask < size {
+			if rel&mask != 0 {
+				parent := ((rel &^ mask) + root) % size
+				msg := c.recvRaw(parent, tag)
+				seg = msg.payload.([]T)
+				break
+			}
+			mask <<= 1
+		}
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if rel+mask < size && mask < len(seg) {
+			end := 2 * mask
+			if end > len(seg) {
+				end = len(seg)
+			}
+			sub := seg[mask:end]
+			c.sendRaw((rel+mask+root)%size, tag, sub, segmentBytes(sub))
+			seg = seg[:mask]
+		}
+	}
+	return seg[0]
+}
+
+// Alltoall performs a total exchange: parts[i] is delivered to rank i, and
+// the returned slice holds what every rank sent to this one, indexed by
+// source rank. The exchange is pairwise — round i pairs this rank with a
+// deterministic partner — so every receive names its source and the
+// mailbox matches it in O(1), instead of the baseline's AnySource scans.
+// Message and byte counts are identical to the baseline.
+func Alltoall[T any](c *Comm, parts []T) []T {
+	size := c.Size()
+	if len(parts) != size {
+		panic(fmt.Sprintf("cluster: Alltoall needs %d parts, got %d", size, len(parts)))
+	}
+	c.beginColl("Alltoall", -1)
+	defer c.endColl()
+	tag := c.nextCollTag()
+	out := make([]T, size)
+	out[c.rank] = parts[c.rank]
+	switch {
+	case c.baselineColl():
+		for r := 0; r < size; r++ {
+			if r == c.rank {
+				continue
+			}
+			c.sendRaw(r, tag, parts[r], byteSize(parts[r]))
+		}
+		for i := 0; i < size-1; i++ {
+			msg := c.recvRaw(AnySource, tag)
+			out[msg.src] = msg.payload.(T)
+		}
+	case isPow2(size):
+		for i := 1; i < size; i++ {
+			partner := c.rank ^ i
+			c.sendRaw(partner, tag, parts[partner], byteSize(parts[partner]))
+			msg := c.recvRaw(partner, tag)
+			out[partner] = msg.payload.(T)
+		}
+	default:
+		for i := 1; i < size; i++ {
+			dst := (c.rank + i) % size
+			src := (c.rank - i + size) % size
+			c.sendRaw(dst, tag, parts[dst], byteSize(parts[dst]))
+			msg := c.recvRaw(src, tag)
+			out[src] = msg.payload.(T)
+		}
+	}
+	return out
+}
+
+// Scan computes the inclusive prefix reduction: rank r receives
+// op(v_0, ..., v_r). The chain is linear, as in a textbook MPI_Scan.
+func Scan[T any](c *Comm, v T, op func(a, b T) T) T {
+	c.beginColl("Scan", -1)
+	defer c.endColl()
+	tag := c.nextCollTag()
+	acc := v
+	if c.rank > 0 {
+		msg := c.recvRaw(c.rank-1, tag)
+		acc = op(msg.payload.(T), v)
+	}
+	if c.rank < c.Size()-1 {
+		c.sendRaw(c.rank+1, tag, acc, byteSize(acc))
+	}
+	return acc
+}
+
+// bcastTree is a binomial-tree broadcast rooted at root using tag.
+func bcastTree[T any](c *Comm, root, tag int, v T) T {
+	size := c.Size()
+	rel := (c.rank - root + size) % size
+	mask := 1
+	for mask < size {
+		if rel&mask != 0 {
+			parent := ((rel &^ mask) + root) % size
+			msg := c.recvRaw(parent, tag)
+			v = msg.payload.(T)
+			break
+		}
+		mask <<= 1
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if rel+mask < size {
+			dst := (rel + mask + root) % size
+			c.sendRaw(dst, tag, v, byteSize(v))
+		}
+	}
+	return v
+}
+
+// reduceTree is a binomial-tree reduction to root using tag.
+func reduceTree[T any](c *Comm, root, tag int, v T, op func(a, b T) T) T {
+	size := c.Size()
+	rel := (c.rank - root + size) % size
+	acc := v
+	for mask := 1; mask < size; mask <<= 1 {
+		if rel&mask == 0 {
+			srcRel := rel | mask
+			if srcRel < size {
+				msg := c.recvRaw((srcRel+root)%size, tag)
+				acc = op(acc, msg.payload.(T))
+			}
+		} else {
+			dst := ((rel &^ mask) + root) % size
+			c.sendRaw(dst, tag, acc, byteSize(acc))
+			break
+		}
+	}
+	return acc
+}
+
+// SumFloat64s is a ready-made op for Allreduce/Reduce over []float64: it
+// adds b into a elementwise and returns a.
+func SumFloat64s(a, b []float64) []float64 {
+	for i := range a {
+		a[i] += b[i]
+	}
+	return a
+}
+
+// SumInt64s adds b into a elementwise and returns a.
+func SumInt64s(a, b []int64) []int64 {
+	for i := range a {
+		a[i] += b[i]
+	}
+	return a
+}
+
+// SplitEven cuts xs into parts contiguous chunks whose sizes differ by at
+// most one (the first len(xs)%parts chunks get the extra element). It is
+// the canonical block decomposition used throughout the assignments.
+func SplitEven[T any](xs []T, parts int) [][]T {
+	out := make([][]T, parts)
+	n := len(xs)
+	q, r := n/parts, n%parts
+	lo := 0
+	for p := 0; p < parts; p++ {
+		sz := q
+		if p < r {
+			sz++
+		}
+		out[p] = xs[lo : lo+sz]
+		lo += sz
+	}
+	return out
+}
+
+// BlockRange returns the [lo, hi) index range that block decomposition
+// assigns to rank r of size parts over n items.
+func BlockRange(n, parts, r int) (lo, hi int) {
+	q, rem := n/parts, n%parts
+	lo = r*q + min(r, rem)
+	hi = lo + q
+	if r < rem {
+		hi++
+	}
+	return lo, hi
+}

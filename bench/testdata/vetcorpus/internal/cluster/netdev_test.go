@@ -1,0 +1,344 @@
+package cluster
+
+import (
+	"fmt"
+	"net"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// netAddrs plans one unix socket path per rank inside the test's temp
+// dir. Paths are kept short: AF_UNIX caps sun_path at ~104 bytes.
+func netAddrs(t *testing.T, size int) []string {
+	t.Helper()
+	dir := t.TempDir()
+	addrs := make([]string, size)
+	for r := range addrs {
+		addrs[r] = filepath.Join(dir, fmt.Sprintf("%d.s", r))
+	}
+	return addrs
+}
+
+// runNetWorld brings up a size-rank net-device world inside this test
+// process (one goroutine per rank, each with its own World, exactly as P
+// separate processes would) and runs f per rank. It returns each rank's
+// Run error and its World (already closed).
+func runNetWorld(t *testing.T, network string, addrs []string, opts Options, f func(c *Comm)) ([]error, []*World) {
+	t.Helper()
+	size := len(addrs)
+	errs := make([]error, size)
+	worlds := make([]*World, size)
+	var wg sync.WaitGroup
+	wg.Add(size)
+	for r := 0; r < size; r++ {
+		go func(r int) {
+			defer wg.Done()
+			w, err := NewNetWorld(NetConfig{
+				Size: size, Rank: r, Network: network, Addrs: addrs,
+				DialTimeout: 10 * time.Second,
+			}, opts)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			worlds[r] = w
+			errs[r] = w.Run(f)
+			w.Close()
+		}(r)
+	}
+	wg.Wait()
+	return errs, worlds
+}
+
+func TestNetWorldPingPong(t *testing.T) {
+	addrs := netAddrs(t, 2)
+	got := make([]float64, 2)
+	errs, _ := runNetWorld(t, "unix", addrs, DefaultOptions(), func(c *Comm) {
+		if c.Rank() == 0 {
+			Send(c, 1, 7, []float64{1, 2, 3})
+			got[0] = Recv[[]float64](c, 1, 8)[0]
+		} else {
+			v := Recv[[]float64](c, 0, 7)
+			Send(c, 0, 8, []float64{v[0] + v[1] + v[2]})
+			got[1] = v[2]
+		}
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	if got[0] != 6 || got[1] != 3 {
+		t.Fatalf("payloads corrupted in transit: got %v", got)
+	}
+}
+
+func TestNetWorldTCPPingPong(t *testing.T) {
+	// The tcp path shares everything but Listen/Dial with unix, so one
+	// round trip suffices. Ports are picked by binding :0 in-process.
+	addrs := []string{"127.0.0.1:0", ""}
+	// Rank 1 dials rank 0 only, so only rank 0 needs a real address; grab
+	// a free port by asking the kernel.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback tcp: %v", err)
+	}
+	addrs[0] = ln.Addr().String()
+	addrs[1] = "127.0.0.1:0" // never listened on (rank Size-1 has no listener)
+	ln.Close()
+
+	var got int
+	errs, _ := runNetWorld(t, "tcp", addrs, DefaultOptions(), func(c *Comm) {
+		if c.Rank() == 0 {
+			got = Recv[int](c, 1, 1)
+		} else {
+			Send(c, 0, 1, 41+1)
+		}
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	if got != 42 {
+		t.Fatalf("got %d over tcp, want 42", got)
+	}
+}
+
+// TestNetWorldMatchesInProcess is the device contract test: the same SPMD
+// program, exercising every collective plus point-to-point traffic, must
+// produce identical results AND identical simulated clocks on the
+// goroutine device and on the net device. The α+β·n cost model travels
+// with the frames, so simulation-level experiments cannot tell the
+// devices apart.
+func TestNetWorldMatchesInProcess(t *testing.T) {
+	const P = 4
+	program := func(results [][]float64, clocks []float64) func(c *Comm) {
+		return func(c *Comm) {
+			r := c.Rank()
+			c.Barrier()
+			v := Bcast(c, 0, []float64{10, 20, 30, 40})
+			sum := Allreduce(c, v[r], func(a, b float64) float64 { return a + b })
+			all := Allgather(c, sum*float64(r+1))
+			part := Scatter(c, 0, []float64{all[0], all[1], all[2], all[3]})
+			red := Reduce(c, 0, part, func(a, b float64) float64 { return a + b })
+			scan := Scan(c, float64(r+1), func(a, b float64) float64 { return a + b })
+			parts := make([]int, c.Size())
+			for i := range parts {
+				parts[i] = r*10 + i
+			}
+			back := Alltoall(c, parts)
+			ring := 0
+			if c.Size() > 1 {
+				Send(c, (r+1)%c.Size(), 5, r)
+				ring = Recv[int](c, (r-1+c.Size())%c.Size(), 5)
+			}
+			acc := red + scan + float64(ring)
+			for _, b := range back {
+				acc += float64(b)
+			}
+			gathered := Gather(c, 0, acc)
+			out := []float64{acc}
+			if r == 0 {
+				out = append(out, gathered...)
+			}
+			results[r] = out
+			clocks[r] = c.Clock()
+		}
+	}
+
+	inResults := make([][]float64, P)
+	inClocks := make([]float64, P)
+	if err := NewWorld(P).Run(program(inResults, inClocks)); err != nil {
+		t.Fatalf("in-process run: %v", err)
+	}
+
+	netResults := make([][]float64, P)
+	netClocks := make([]float64, P)
+	errs, _ := runNetWorld(t, "unix", netAddrs(t, P), DefaultOptions(), program(netResults, netClocks))
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("net rank %d: %v", r, err)
+		}
+	}
+
+	for r := 0; r < P; r++ {
+		if len(inResults[r]) != len(netResults[r]) {
+			t.Fatalf("rank %d: result shape differs: %v vs %v", r, inResults[r], netResults[r])
+		}
+		for i := range inResults[r] {
+			if inResults[r][i] != netResults[r][i] {
+				t.Errorf("rank %d result[%d]: in-process %v, net %v", r, i, inResults[r][i], netResults[r][i])
+			}
+		}
+		if inClocks[r] != netClocks[r] {
+			t.Errorf("rank %d simulated clock: in-process %v, net %v — cost model must be device-independent",
+				r, inClocks[r], netClocks[r])
+		}
+	}
+}
+
+// TestNetWorldSpecialPayloads covers the payload kinds gob cannot encode
+// as interface values: struct{}{} (Barrier's token) and typed nil.
+func TestNetWorldSpecialPayloads(t *testing.T) {
+	errs, _ := runNetWorld(t, "unix", netAddrs(t, 2), DefaultOptions(), func(c *Comm) {
+		c.Barrier() // struct{}{} across the wire
+		if c.Rank() == 0 {
+			Send[[]float64](c, 1, 3, nil) // typed nil flattens to interface nil
+		} else {
+			if v := Recv[[]float64](c, 0, 3); v != nil {
+				panic(fmt.Sprintf("nil payload arrived as %v", v))
+			}
+		}
+		c.Barrier()
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+}
+
+// TestNetWorldSubComm runs Split + a sub-communicator collective over the
+// wire (splitEntry is part of the pre-registered payload vocabulary).
+func TestNetWorldSubComm(t *testing.T) {
+	const P = 4
+	sums := make([]float64, P)
+	errs, _ := runNetWorld(t, "unix", netAddrs(t, P), DefaultOptions(), func(c *Comm) {
+		sub := c.Split(c.Rank()%2, c.Rank())
+		sums[c.Rank()] = AllreduceSub(sub, float64(c.Rank()+1), func(a, b float64) float64 { return a + b })
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	want := []float64{4, 6, 4, 6} // evens 1+3, odds 2+4
+	for r := range sums {
+		if sums[r] != want[r] {
+			t.Fatalf("subcomm sums = %v, want %v", sums, want)
+		}
+	}
+}
+
+// TestNetWorldDeadPeerDiagnosis kills one rank mid-world and requires the
+// survivor's blocked receive to fail fast with the dead-peer diagnosis —
+// naming the closed connection and the exited process — rather than
+// hanging or reporting a suspected deadlock cycle.
+func TestNetWorldDeadPeerDiagnosis(t *testing.T) {
+	addrs := netAddrs(t, 2)
+	var mu sync.Mutex
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	for r := 0; r < 2; r++ {
+		go func(r int) {
+			defer wg.Done()
+			w, err := NewNetWorld(NetConfig{Size: 2, Rank: r, Network: "unix", Addrs: addrs}, DefaultOptions())
+			if err != nil {
+				mu.Lock()
+				errs[r] = err
+				mu.Unlock()
+				return
+			}
+			err = w.Run(func(c *Comm) {
+				if c.Rank() == 1 {
+					return // "crash": exit without sending, tearing down the link
+				}
+				Recv[int](c, 1, 1) // waits forever unless the dead peer is detected
+			})
+			w.Close()
+			mu.Lock()
+			errs[r] = err
+			mu.Unlock()
+		}(r)
+	}
+	waitDone := make(chan struct{})
+	go func() { wg.Wait(); close(waitDone) }()
+	select {
+	case <-waitDone:
+	case <-time.After(30 * time.Second):
+		t.Fatal("dead peer not detected: rank 0 still blocked after 30s")
+	}
+	if errs[1] != nil {
+		t.Fatalf("rank 1: %v", errs[1])
+	}
+	err := errs[0]
+	if err == nil {
+		t.Fatal("rank 0 received from a dead peer without error")
+	}
+	for _, want := range []string{"peer unreachable", "dead peer", "exited or crashed"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("dead-peer diagnosis missing %q:\n%s", want, err)
+		}
+	}
+	if strings.Contains(err.Error(), "suspected deadlock") {
+		t.Errorf("dead peer misdiagnosed as a deadlock cycle:\n%s", err)
+	}
+}
+
+// TestNetWorldUnregisteredPayload requires the runtime side of the
+// wire-safety contract: sending an unregistered type must fail with an
+// error that names the type and points at RegisterWire and the static
+// wiresafe check, not with a bare gob stack trace.
+func TestNetWorldUnregisteredPayload(t *testing.T) {
+	type notRegistered struct{ X int }
+	errs, _ := runNetWorld(t, "unix", netAddrs(t, 2), DefaultOptions(), func(c *Comm) {
+		if c.Rank() == 0 {
+			Send(c, 1, 1, notRegistered{X: 1})
+		} else {
+			// The sender panics before the frame leaves, so this receive
+			// fails via dead-peer detection when rank 0's world closes.
+			defer func() { recover() }()
+			Recv[notRegistered](c, 0, 1)
+		}
+	})
+	err := errs[0]
+	if err == nil {
+		t.Fatal("unregistered payload crossed the wire without error")
+	}
+	for _, want := range []string{"notRegistered", "wire-safe", "RegisterWire"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("wire-safety error missing %q:\n%s", want, err)
+		}
+	}
+}
+
+// TestEnvNetConfig checks the PEACHY_* environment contract parser.
+func TestEnvNetConfig(t *testing.T) {
+	t.Run("roundtrip", func(t *testing.T) {
+		t.Setenv("PEACHY_WORLD", "3")
+		t.Setenv("PEACHY_RANK", "2")
+		t.Setenv("PEACHY_NET", "tcp")
+		t.Setenv("PEACHY_ADDRS", "a:1,b:2,c:3")
+		cfg, err := EnvNetConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Size != 3 || cfg.Rank != 2 || cfg.Network != "tcp" || len(cfg.Addrs) != 3 || cfg.Addrs[1] != "b:2" {
+			t.Fatalf("bad parse: %+v", cfg)
+		}
+		if !Launched() {
+			t.Fatal("Launched() = false with PEACHY_RANK set")
+		}
+	})
+	t.Run("addr count mismatch", func(t *testing.T) {
+		t.Setenv("PEACHY_WORLD", "3")
+		t.Setenv("PEACHY_RANK", "0")
+		t.Setenv("PEACHY_ADDRS", "a,b")
+		if _, err := EnvNetConfig(); err == nil {
+			t.Fatal("want error for 2 addrs in a 3-rank world")
+		}
+	})
+	t.Run("rank out of range", func(t *testing.T) {
+		t.Setenv("PEACHY_WORLD", "2")
+		t.Setenv("PEACHY_RANK", "2")
+		t.Setenv("PEACHY_ADDRS", "a,b")
+		if _, err := EnvNetConfig(); err == nil {
+			t.Fatal("want error for rank 2 of 2")
+		}
+	})
+}
