@@ -12,13 +12,12 @@ import (
 // argument (cluster.Bcast(c, ...) or, inside package cluster and its
 // tests, bare Bcast(c, ...)).
 var collectiveMethods = map[string]bool{
-	"Barrier": true, "BarrierSub": true, "Split": true,
+	"Barrier": true, "Split": true,
 }
 
 var collectiveFuncs = map[string]bool{
 	"Bcast": true, "Reduce": true, "Allreduce": true, "Gather": true,
 	"Allgather": true, "Scatter": true, "Alltoall": true, "Scan": true,
-	"BcastSub": true, "ReduceSub": true, "AllreduceSub": true, "GatherSub": true,
 }
 
 // rankIdentNames are bare identifiers treated as a rank value.
@@ -248,12 +247,5 @@ func (u *Unit) clusterCall(call *ast.CallExpr) bool {
 		t = p.Elem()
 	}
 	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	switch named.Obj().Name() {
-	case "Comm", "SubComm":
-		return true
-	}
-	return false
+	return ok && named.Obj().Name() == "Comm"
 }

@@ -241,7 +241,7 @@ func callFunIdent(call *ast.CallExpr) (string, bool) {
 // communication vocabulary (collectives are classified separately).
 func isCommName(name string) bool {
 	switch name {
-	case "Send", "SendSub", "SendRecv", "Recv", "RecvFrom", "RecvSub", "TryRecv":
+	case "Send", "SendRecv", "Recv", "RecvFrom", "TryRecv":
 		return true
 	}
 	return false

@@ -67,7 +67,7 @@ func commPayload(u *Unit, call *ast.CallExpr) (ast.Expr, string, bool) {
 		return nil, "", false
 	}
 	switch name := commCallName(call); name {
-	case "Send", "SendSub", "SendRecv":
+	case "Send", "SendRecv":
 		if len(call.Args) == 4 {
 			return call.Args[3], name, true
 		}

@@ -434,10 +434,11 @@ func (e *ownEngine) bind(name string, rhs ast.Expr, multiFromCall bool, st *ownS
 				st.recvd[root] = true
 				return
 			}
-			if cc, ok := asCollective(call); ok && e.payloadShares(call) {
+			if cc, ok := asCollective(call); ok && collPayloadIndex(cc.name) >= 0 && e.payloadShares(call) {
 				// The collective's return value is shared with other ranks by
 				// the in-process transport (Bcast hands every rank the same
-				// backing array); writes to it need a deep copy first.
+				// backing array); writes to it need a deep copy first. Split
+				// carries no payload: the group Comm it returns is private.
 				root := e.fresh(name)
 				st.alias[name] = bufRegion{root: root, whole: true}
 				st.live[root] = &liveInfo{op: cc.name + " result", pos: call.Pos()}
@@ -607,7 +608,7 @@ func (e *ownEngine) rhsFromRecv(rhs ast.Expr, st *ownState) bool {
 
 func isRecvName(name string) bool {
 	switch name {
-	case "Recv", "RecvFrom", "RecvSub", "TryRecv", "SendRecv":
+	case "Recv", "RecvFrom", "TryRecv", "SendRecv":
 		return true
 	}
 	return false
@@ -671,7 +672,7 @@ func (e *ownEngine) handleCall(call *ast.CallExpr, st *ownState) {
 			// reduce+bcast fallback clones at the root before broadcasting
 			// (collectives.go). The *result* still aliases shared memory —
 			// handled in bind — but the argument is reusable.
-			reusable := cc.name == "Allreduce" || cc.name == "AllreduceSub"
+			reusable := cc.name == "Allreduce"
 			if i := collPayloadIndex(cc.name); i >= 0 && i < len(call.Args) && !reusable && e.payloadShares(call.Args[i]) {
 				if reg, ok := e.resolveRef(call.Args[i], st); ok {
 					st.live[reg.root] = &liveInfo{op: cc.name, pos: call.Pos()}
@@ -680,7 +681,7 @@ func (e *ownEngine) handleCall(call *ast.CallExpr, st *ownState) {
 			return
 		}
 		switch name := commCallName(call); name {
-		case "Send", "SendSub", "SendRecv":
+		case "Send", "SendRecv":
 			if len(call.Args) == 4 && e.payloadShares(call.Args[3]) {
 				if reg, ok := e.resolveRef(call.Args[3], st); ok {
 					st.live[reg.root] = &liveInfo{
@@ -690,7 +691,7 @@ func (e *ownEngine) handleCall(call *ast.CallExpr, st *ownState) {
 				}
 			}
 			return
-		case "Recv", "RecvFrom", "RecvSub", "TryRecv":
+		case "Recv", "RecvFrom", "TryRecv":
 			if len(call.Args) == 3 {
 				st.clearPeer(renderPeer(call.Args[1], e.consts))
 			}
@@ -729,7 +730,7 @@ func (e *ownEngine) handleCall(call *ast.CallExpr, st *ownState) {
 			}
 		}
 		if fact, escapes := sends[pname]; escapes {
-			if fact.op == "Allreduce" || fact.op == "AllreduceSub" {
+			if fact.op == "Allreduce" {
 				continue // payload consumed before return, as above
 			}
 			st.live[reg.root] = &liveInfo{

@@ -205,7 +205,7 @@ func collectRollEvents(u *Unit, cg *callGraph, body *ast.BlockStmt, iv string, e
 		}
 		if u.clusterCall(call) {
 			switch name := commCallName(call); name {
-			case "Send", "SendSub":
+			case "Send":
 				if len(call.Args) == 4 && mentionsIdent(call.Args[1], iv) {
 					ev.sends++
 					if indexedBy(call.Args[3], iv) {
@@ -213,7 +213,7 @@ func collectRollEvents(u *Unit, cg *callGraph, body *ast.BlockStmt, iv string, e
 					}
 				}
 				return true
-			case "Recv", "RecvSub":
+			case "Recv":
 				if len(call.Args) == 3 && mentionsIdent(call.Args[1], iv) {
 					ev.recvs++
 				}
@@ -315,7 +315,7 @@ func recvWithPeer(u *Unit, e ast.Expr, iv string) bool {
 			return true
 		}
 		switch commCallName(call) {
-		case "Recv", "RecvSub":
+		case "Recv":
 			if u.clusterCall(call) && len(call.Args) == 3 && mentionsIdent(call.Args[1], iv) {
 				found = true
 			}

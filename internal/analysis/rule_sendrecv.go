@@ -30,14 +30,14 @@ func checkSendRecv(u *Unit, r *reporter) {
 			}
 			name := commCallName(call)
 			switch name {
-			case "Send", "SendSub":
+			case "Send":
 				if len(call.Args) != 4 {
 					return true
 				}
 				if v, ok := intValue(call.Args[2], consts); ok {
 					sends = append(sends, sendSite{tag: v, pos: call.Pos()})
 				}
-			case "Recv", "RecvFrom", "TryRecv", "RecvSub":
+			case "Recv", "RecvFrom", "TryRecv":
 				if len(call.Args) != 3 {
 					return true
 				}

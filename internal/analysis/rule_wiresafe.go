@@ -45,7 +45,7 @@ func (u *Unit) wireCheckCall(call *ast.CallExpr, r *reporter) {
 			payload = call.Args[i]
 			opName = cc.name
 		}
-	} else if name := commCallName(call); (name == "Send" || name == "SendSub" || name == "SendRecv") && len(call.Args) == 4 {
+	} else if name := commCallName(call); (name == "Send" || name == "SendRecv") && len(call.Args) == 4 {
 		payload = call.Args[3]
 		opName = name
 	}
@@ -65,7 +65,7 @@ func (u *Unit) wireCheckCall(call *ast.CallExpr, r *reporter) {
 	// Allreduce snapshots each contribution via clonePayload; a payload
 	// carrying references with no CloneWire gets a shallow snapshot, so
 	// concurrent reduction steps observe each other's mutations.
-	if (opName == "Allreduce" || opName == "AllreduceSub") &&
+	if opName == "Allreduce" &&
 		u.hasReferenceParts(t, true) && !hasCloneWire(t) {
 		r.report("wiresafe", payload.Pos(),
 			"Allreduce payload type %s contains shared references but implements no CloneWire; the reduction cannot snapshot contributions — implement cluster.Cloner or use a flat payload",

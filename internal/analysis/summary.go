@@ -72,7 +72,7 @@ func (o operand) String() string {
 // Effect is one node of a communication summary.
 type Effect struct {
 	Kind     EffectKind
-	Op       string  // collective name, or Send/SendSub/SendRecv/Recv/RecvFrom/RecvSub/TryRecv
+	Op       string  // collective name, or Send/SendRecv/Recv/RecvFrom/TryRecv
 	Comm     string  // communicator identifier, best effort ("" unknown)
 	Tag      operand // p2p only
 	Peer     operand // p2p only: destination for sends, source for receives
@@ -536,7 +536,7 @@ func (s *summarizer) callEffects(call *ast.CallExpr, params map[string]bool, dep
 	}
 	name := commCallName(call)
 	switch name {
-	case "Send", "SendSub":
+	case "Send":
 		if len(call.Args) == 4 {
 			out = append(out, Effect{
 				Kind: EffSend, Op: name, Comm: argIdent(call, 0), Pos: call.Pos(),
@@ -546,7 +546,7 @@ func (s *summarizer) callEffects(call *ast.CallExpr, params map[string]bool, dep
 			})
 			return out
 		}
-	case "Recv", "RecvFrom", "RecvSub":
+	case "Recv", "RecvFrom":
 		if len(call.Args) == 3 {
 			out = append(out, Effect{
 				Kind: EffRecv, Op: name, Comm: argIdent(call, 0), Pos: call.Pos(), Blocking: true,
@@ -741,10 +741,9 @@ func mentionsRank(n ast.Node) bool {
 // Split). The positions mirror internal/cluster's signatures.
 func collPayloadIndex(name string) int {
 	switch name {
-	case "Bcast", "Reduce", "Gather", "Scatter",
-		"BcastSub", "ReduceSub", "GatherSub":
+	case "Bcast", "Reduce", "Gather", "Scatter":
 		return 2 // (comm, root, v, ...)
-	case "Allreduce", "Allgather", "Alltoall", "Scan", "AllreduceSub":
+	case "Allreduce", "Allgather", "Alltoall", "Scan":
 		return 1 // (comm, v, ...)
 	}
 	return -1

@@ -55,3 +55,12 @@ func mixedScatterAlltoall(c *Comm) {
 		Alltoall(c, []int{1, 2})
 	}
 }
+
+// A Split group is a communicator like the world: only group rank 0
+// enters the group's Barrier, so the other members never match it.
+func divergentGroupBarrier(c *Comm) {
+	sub := c.Split(c.Rank()%2, c.Rank())
+	if sub.Rank() == 0 { // WANT collective
+		sub.Barrier()
+	}
+}

@@ -39,3 +39,16 @@ func balancedEarlyPaths(c *Comm) {
 	}
 	c.Barrier()
 }
+
+// The hierarchical reduction: every rank joins both splits, and the
+// leaders-only collective runs on the leaders group, whose members are
+// exactly the ranks the node.Rank() guard admits.
+func hierarchicalReduction(c *Comm) {
+	node := c.Split(c.Rank()/4, c.Rank())
+	local := Reduce(node, 0, 1, func(a, b int) int { return a + b })
+	leaders := c.Split(map[bool]int{true: 0, false: -1}[node.Rank() == 0], c.Rank())
+	if node.Rank() == 0 {
+		total := Allreduce(leaders, local, func(a, b int) int { return a + b })
+		_ = total
+	}
+}

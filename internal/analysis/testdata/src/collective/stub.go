@@ -5,11 +5,13 @@ package fixture
 
 type Comm struct{}
 
-func (c *Comm) Rank() int { return 0 }
-func (c *Comm) Size() int { return 1 }
-func (c *Comm) Barrier()  {}
+func (c *Comm) Rank() int                  { return 0 }
+func (c *Comm) Size() int                  { return 1 }
+func (c *Comm) Barrier()                   {}
+func (c *Comm) Split(color, key int) *Comm { return c }
 
-func Allreduce(c *Comm, v int, op func(a, b int) int) int { return v }
-func Bcast(c *Comm, root, v int) int                      { return v }
-func Scatter(c *Comm, root int, parts []int) int          { return 0 }
-func Alltoall(c *Comm, parts []int) []int                 { return parts }
+func Allreduce(c *Comm, v int, op func(a, b int) int) int    { return v }
+func Bcast(c *Comm, root, v int) int                         { return v }
+func Reduce(c *Comm, root, v int, op func(a, b int) int) int { return v }
+func Scatter(c *Comm, root int, parts []int) int             { return 0 }
+func Alltoall(c *Comm, parts []int) []int                    { return parts }

@@ -4,11 +4,13 @@
 // the contract is that a sent buffer is frozen until a sync point.
 package fixture
 
-type Comm struct{}
+type Comm struct{ clock float64 }
 
-func (c *Comm) Rank() int { return 0 }
-func (c *Comm) Size() int { return 2 }
-func (c *Comm) Barrier()  {}
+func (c *Comm) Rank() int                  { return 0 }
+func (c *Comm) Size() int                  { return 2 }
+func (c *Comm) Barrier()                   {}
+func (c *Comm) Split(color, key int) *Comm { return &Comm{} }
+func (c *Comm) AdvanceClock(s float64)     { c.clock += s }
 
 func Send[T any](c *Comm, dst, tag int, v T) {}
 

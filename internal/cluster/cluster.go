@@ -81,7 +81,7 @@ type message struct {
 	op, site string  // Verify mode: collective op + call site that produced this message
 	// Wire-level observability, stamped by the net device's reader: frame
 	// bytes on the wire (0 on the in-process device — also the "no wire"
-	// sentinel) and the gob decode wall time. recvRaw folds them into the
+	// sentinel) and the gob decode wall time. finishRecv folds them into the
 	// recorder's net.rx aggregate on the rank's own goroutine.
 	wireB int64
 	decNs int64
@@ -240,12 +240,12 @@ func (m *mailbox) match(src, tag int) (message, bool) {
 }
 
 // take blocks until a message matching (src, tag) is pending and removes
-// it, preserving FIFO order per (src, tag) pair. c is the receiving
-// rank's endpoint; in Verify mode the wait is bounded by the world's
+// it, preserving FIFO order per (src, tag) pair. st is the receiving
+// rank's state; in Verify mode the wait is bounded by the world's
 // VerifyTimeout, after which a deadlock dump of every rank is returned
 // as the error.
-func (m *mailbox) take(src, tag int, c *Comm) (message, error) {
-	timeout := c.world.verifyTimeout()
+func (m *mailbox) take(src, tag int, st *rankState) (message, error) {
+	timeout := st.world.verifyTimeout()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.waitActive, m.waitSrc, m.waitTag = true, src, tag
@@ -274,7 +274,7 @@ func (m *mailbox) take(src, tag int, c *Comm) (message, error) {
 			// process that would send it is gone. Rendering the diagnosis
 			// re-reads this mailbox (downPeers), so drop our lock first.
 			m.mu.Unlock()
-			derr := c.world.deadPeerError(c.rank, src, tag, err)
+			derr := st.world.deadPeerError(st.worldRank, src, tag, err)
 			m.mu.Lock()
 			return message{}, derr
 		}
@@ -282,7 +282,7 @@ func (m *mailbox) take(src, tag int, c *Comm) (message, error) {
 			// Drop our own lock before walking every rank's mailbox so two
 			// concurrent dumpers can never hold-and-wait on each other.
 			m.mu.Unlock()
-			dump := c.world.deadlockDump(c.rank, src, tag, timeout)
+			dump := st.world.deadlockDump(st.worldRank, src, tag, timeout)
 			m.mu.Lock()
 			return message{}, errors.New(dump)
 		}
@@ -299,9 +299,9 @@ var errWorldAborted = errors.New("cluster: world aborted")
 // from a root-cause panic.
 type abortPanic struct{ msg string }
 
-// tagMatches applies receive matching: AnyTag is a wildcard over user
-// tags only — it never matches the reserved negative tag spaces that
-// collectives and sub-communicators use, so a wildcard point-to-point
+// tagMatches applies receive matching: AnyTag is a wildcard over the
+// world's user tags only — it never matches the reserved negative tag
+// spaces that collectives and groups use, so a wildcard point-to-point
 // receive can never steal in-flight collective traffic from a rank that
 // ran ahead.
 func tagMatches(want, got int) bool {
@@ -399,7 +399,7 @@ func NewWorldOpts(size int, opts Options) *World {
 		w.boxes[r] = newMailbox(size)
 	}
 	for r := 0; r < size; r++ {
-		w.comms[r] = &Comm{world: w, rank: r}
+		w.comms[r] = newWorldComm(w, r)
 	}
 	return w
 }
@@ -573,11 +573,13 @@ func (w *World) ResetStats() {
 	}
 }
 
-// Comm is one rank's endpoint into the world. It is owned by the rank's
-// goroutine; methods must not be called from other goroutines.
-type Comm struct {
-	world *World
-	rank  int
+// rankState is one rank's runtime state: its simulated clock, counters,
+// trace recorder and in-flight collective. The world's Comm and every
+// group Comm on the rank point to the same rankState, so group traffic
+// advances the same clock and lands in the same trace as world traffic.
+type rankState struct {
+	world     *World
+	worldRank int
 
 	clock float64 // simulated seconds
 	msgs  int64
@@ -593,9 +595,6 @@ type Comm struct {
 	obsSimStart  float64
 	obsWallStart int64
 
-	collSeq int // collective matching sequence; see collTag
-	subGen  int // sub-communicator generation counter; see Split
-
 	// Verify mode: the collective this rank is currently inside ("" while
 	// in user code or point-to-point calls). Owner-goroutine only; the
 	// mailbox mirrors it for cross-goroutine dump readers. collDepth
@@ -603,13 +602,44 @@ type Comm struct {
 	// op name wins.
 	curOp, curSite string
 	collDepth      int
+
+	lastNS int // highest tag namespace this rank has taken part in; see Split
+}
+
+// Comm is a communicator: one rank's endpoint into the world, or into a
+// group made by Split. It is owned by the rank's goroutine; methods must
+// not be called from other goroutines.
+type Comm struct {
+	*rankState
+
+	rank    int   // this rank's id within the communicator
+	ranks   []int // communicator rank -> world rank; nil for the world
+	ns      int   // tag namespace: 0 for the world, >= 1 for groups
+	collSeq int   // collective matching sequence; see nextCollTag
+}
+
+func newWorldComm(w *World, rank int) *Comm {
+	return &Comm{rankState: &rankState{world: w, worldRank: rank}, rank: rank}
 }
 
 // Rank returns this rank's id in [0, Size).
 func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the world size.
-func (c *Comm) Size() int { return c.world.size }
+// Size returns the number of ranks in the communicator.
+func (c *Comm) Size() int {
+	if c.ranks == nil {
+		return c.world.size
+	}
+	return len(c.ranks)
+}
+
+// toWorld maps a communicator rank (or AnySource) to a world rank.
+func (c *Comm) toWorld(r int) int {
+	if c.ranks == nil || r == AnySource {
+		return r
+	}
+	return c.ranks[r]
+}
 
 // Clock returns this rank's simulated time in seconds.
 func (c *Comm) Clock() float64 { return c.clock }
@@ -623,11 +653,16 @@ func (c *Comm) AdvanceClock(seconds float64) { c.clock += seconds }
 // obs.Recorder methods are nil-safe, so callers need no guard.
 func (c *Comm) Obs() *obs.Recorder { return c.rec }
 
-// sendRaw posts a message and advances the sender's clock.
+// sendRaw posts a message to communicator rank dst and advances the
+// sender's clock. tag is already folded into the communicator's
+// namespace (userTag, nextCollTag). Messages and trace events carry
+// world ranks; sendRaw, recvRaw and poll are where a communicator's
+// ranks are mapped to them.
 func (c *Comm) sendRaw(dst, tag int, payload any, bytes int) {
-	if dst < 0 || dst >= c.world.size {
+	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("cluster: send to invalid rank %d", dst))
 	}
+	dst = c.toWorld(dst)
 	simStart := c.clock
 	c.clock += c.world.opts.Latency + c.world.opts.ByteTime*float64(bytes)
 	c.msgs++
@@ -636,28 +671,36 @@ func (c *Comm) sendRaw(dst, tag int, payload any, bytes int) {
 		c.rec.Send(dst, tag, int64(bytes), simStart, c.clock)
 	}
 	c.world.dev.deliver(dst, message{
-		src: c.rank, tag: tag, payload: payload, bytes: bytes, arrive: c.clock,
+		src: c.worldRank, tag: tag, payload: payload, bytes: bytes, arrive: c.clock,
 		op: c.curOp, site: c.curSite,
 	})
 }
 
-// recvRaw blocks for a matching message and advances the receiver's clock
-// to at least the message's availability time. In Verify mode it
-// cross-checks the collective stamp on the message against the collective
-// this rank is inside.
+// recvRaw blocks for a message from communicator rank src (or AnySource)
+// with the folded tag, then completes the receive with finishRecv.
 func (c *Comm) recvRaw(src, tag int) message {
 	var wallStart int64
 	simStart := c.clock
 	if c.rec != nil {
 		wallStart = c.rec.Now()
 	}
-	msg, err := c.world.boxes[c.rank].take(src, tag, c)
+	msg, err := c.world.boxes[c.worldRank].take(c.toWorld(src), tag, c.rankState)
 	if err != nil {
 		if errors.Is(err, errWorldAborted) {
 			panic(abortPanic{err.Error()})
 		}
 		panic(err.Error())
 	}
+	return c.finishRecv(msg, src, simStart, wallStart)
+}
+
+// finishRecv completes a matched receive, blocking (recvRaw) or not
+// (TryRecv): in Verify mode it cross-checks the collective stamp on the
+// message against the collective this rank is inside, advances the
+// receiver's clock to at least the message's availability time, records
+// the receive, and rewrites msg.src from a world rank to a rank of c.
+// src is the source the receive asked for.
+func (c *Comm) finishRecv(msg message, src int, simStart float64, wallStart int64) message {
 	if c.world.opts.Verify {
 		c.checkCollStamp(msg)
 	}
@@ -673,20 +716,38 @@ func (c *Comm) recvRaw(src, tag int) message {
 			c.rec.WireSpan("net.rx", msg.wireB, msg.decNs)
 		}
 	}
+	msg.src = c.fromWorld(msg.src, src)
 	return msg
+}
+
+// fromWorld maps the world rank w that a receive on (src, ...) matched
+// back to a rank of c. Only an AnySource receive on a group has to search.
+func (c *Comm) fromWorld(w, src int) int {
+	if c.ranks == nil {
+		return w
+	}
+	if src != AnySource {
+		return src
+	}
+	for r, x := range c.ranks {
+		if x == w {
+			return r
+		}
+	}
+	panic(fmt.Sprintf("cluster: world rank %d is not in the group", w))
 }
 
 // Send delivers v to rank dst with the given tag. It does not block on the
 // receiver (eager/buffered semantics).
 func Send[T any](c *Comm, dst, tag int, v T) {
-	c.sendRaw(dst, tag, v, byteSize(v))
+	c.sendRaw(dst, c.userTag(tag), v, byteSize(v))
 }
 
 // Recv blocks until a message from src with the given tag arrives and
-// returns its payload. src may be AnySource and tag may be AnyTag. The
-// payload must have been sent with the same type T.
+// returns its payload. src may be AnySource and tag may be AnyTag (AnyTag
+// on the world only). The payload must have been sent with the same type T.
 func Recv[T any](c *Comm, src, tag int) T {
-	msg := c.recvRaw(src, tag)
+	msg := c.recvRaw(src, c.userTag(tag))
 	v, ok := msg.payload.(T)
 	if !ok {
 		panic(fmt.Sprintf("cluster: rank %d Recv type mismatch: got %T", c.rank, msg.payload))
@@ -697,7 +758,7 @@ func Recv[T any](c *Comm, src, tag int) T {
 // RecvFrom is Recv that additionally reports the sending rank; useful with
 // AnySource (the dynamic task farm uses it).
 func RecvFrom[T any](c *Comm, src, tag int) (T, int) {
-	msg := c.recvRaw(src, tag)
+	msg := c.recvRaw(src, c.userTag(tag))
 	v, ok := msg.payload.(T)
 	if !ok {
 		panic(fmt.Sprintf("cluster: rank %d RecvFrom type mismatch: got %T", c.rank, msg.payload))

@@ -9,13 +9,18 @@ import (
 // Collective matching: every rank must call the same sequence of
 // collectives on its Comm (the usual MPI requirement). Each call consumes
 // one tag from a reserved negative tag space so that collectives never
-// collide with user point-to-point traffic or with each other.
+// collide with user point-to-point traffic or with each other. A group's
+// collective tags come from the lower half of its namespace (see Split)
+// and wrap after groupUserTags calls.
 const collTagBase = -(1 << 30)
 
 func (c *Comm) nextCollTag() int {
-	t := collTagBase - c.collSeq
+	seq := c.collSeq
 	c.collSeq++
-	return t
+	if c.ns == 0 {
+		return collTagBase - seq
+	}
+	return c.nsBase() - groupUserTags - seq%groupUserTags
 }
 
 // Algorithm selection (see docs/substrates.md for the full table):

@@ -31,45 +31,51 @@ func collectiveScript(t *testing.T, p int, opts Options) ([]perRank, *World) {
 	out := make([]perRank, p)
 	w := NewWorldOpts(p, opts)
 	err := w.Run(func(c *Comm) {
-		r := c.Rank()
-		rec := &out[r] // each rank writes only its own slot
-		c.Barrier()
-		rec.Bcast = Bcast(c, p-1, float64((r+1)*1000))
-
-		rec.Reduce = Reduce(c, p/2, int64(r+1), func(a, b int64) int64 { return a + b })
-		if r != p/2 {
-			rec.Reduce = 0 // non-root partials are explicitly unspecified
-		}
-
-		vec := []float64{float64(r + 1), float64((r + 1) * (r + 1))}
-		rec.Allreduce = Allreduce(c, vec, SumFloat64s)
-
-		rec.Gather = Gather(c, p/2, int64(r*10+1))
-
-		rec.Allgather = Allgather(c, fmt.Sprintf("rank-%d", r))
-
-		var parts [][]float64
-		if r == p/2 {
-			parts = make([][]float64, p)
-			for i := range parts {
-				parts[i] = []float64{float64(2 * i), float64(2*i + 1)}
-			}
-		}
-		rec.Scatter = Scatter(c, p/2, parts)
-
-		a2a := make([]int64, p)
-		for i := range a2a {
-			a2a[i] = int64(r*100 + i)
-		}
-		rec.Alltoall = Alltoall(c, a2a)
-
-		rec.Scan = Scan(c, int64(r+1), func(a, b int64) int64 { return a + b })
-		c.Barrier()
+		collectiveBody(c, &out[c.Rank()]) // each rank writes only its own slot
 	})
 	if err != nil {
 		t.Fatalf("P=%d opts=%+v: Run failed: %v", p, opts, err)
 	}
 	return out, w
+}
+
+// collectiveBody is collectiveScript's per-rank program. It runs on any
+// communicator, world or group, and records into rec what wantPerRank
+// predicts for c's rank and size.
+func collectiveBody(c *Comm, rec *perRank) {
+	r, p := c.Rank(), c.Size()
+	c.Barrier()
+	rec.Bcast = Bcast(c, p-1, float64((r+1)*1000))
+
+	rec.Reduce = Reduce(c, p/2, int64(r+1), func(a, b int64) int64 { return a + b })
+	if r != p/2 {
+		rec.Reduce = 0 // non-root partials are explicitly unspecified
+	}
+
+	vec := []float64{float64(r + 1), float64((r + 1) * (r + 1))}
+	rec.Allreduce = Allreduce(c, vec, SumFloat64s)
+
+	rec.Gather = Gather(c, p/2, int64(r*10+1))
+
+	rec.Allgather = Allgather(c, fmt.Sprintf("rank-%d", r))
+
+	var parts [][]float64
+	if r == p/2 {
+		parts = make([][]float64, p)
+		for i := range parts {
+			parts[i] = []float64{float64(2 * i), float64(2*i + 1)}
+		}
+	}
+	rec.Scatter = Scatter(c, p/2, parts)
+
+	a2a := make([]int64, p)
+	for i := range a2a {
+		a2a[i] = int64(r*100 + i)
+	}
+	rec.Alltoall = Alltoall(c, a2a)
+
+	rec.Scan = Scan(c, int64(r+1), func(a, b int64) int64 { return a + b })
+	c.Barrier()
 }
 
 // wantPerRank computes the script's ground truth directly, with no
@@ -205,6 +211,87 @@ func TestAllreduceLogScaling(t *testing.T) {
 		base := cost(p, true)
 		if p >= 4 && base <= rd {
 			t.Errorf("P=%d: baseline reduce+bcast SimTime %g not above recursive doubling %g", p, base, rd)
+		}
+	}
+}
+
+// groupRun is one collectiveBody run on a group: the group's shape as
+// this rank saw it, and what the rank observed.
+type groupRun struct {
+	Size, Rank int
+	Got        perRank
+}
+
+// groupScriptBody runs collectiveBody on Split groups of an 8-rank world:
+// groups of 3 and 5 with reversed keys, a second split of the 5-group
+// into 3 and 2, then a world split into two groups of 4. By that last
+// split the 5-group's members have used one more tag namespace than the
+// 3-group's, which a per-rank namespace counter would get wrong. World
+// rank r appends its runs to runs[r] and its final clock to clocks[r].
+func groupScriptBody(runs [][]groupRun, clocks []float64) func(c *Comm) {
+	return func(c *Comm) {
+		r := c.Rank()
+		run := func(g *Comm) {
+			gr := groupRun{Size: g.Size(), Rank: g.Rank()}
+			collectiveBody(g, &gr.Got)
+			runs[r] = append(runs[r], gr)
+		}
+		g := c.Split(min(r/3, 1), -r) // {2,1,0} and {7,6,5,4,3}
+		run(g)
+		if g.Size() == 5 {
+			run(g.Split(g.Rank()%2, g.Rank()))
+		}
+		run(c.Split(r%2, -r))
+		clocks[r] = c.Clock()
+	}
+}
+
+// wantGroupShapes lists the (size, rank) of every group world rank r
+// runs collectiveBody on in groupScriptBody, in order.
+func wantGroupShapes(r int) [][2]int {
+	out := [][2]int{{3, 2 - r}}
+	if g := 7 - r; r >= 3 {
+		out = [][2]int{{5, g}, {3 - g%2, g / 2}}
+	}
+	return append(out, [2]int{4, (7 - r) / 2})
+}
+
+// TestGroupCollectivesMatchWorld is the collective property test on
+// groups: every collective run on a Split group, nested or not, must
+// produce exactly wantPerRank for the group's size, under all four
+// option variants. The Verify variants run first, so a namespace
+// disagreement fails with a deadlock dump instead of hanging.
+func TestGroupCollectivesMatchWorld(t *testing.T) {
+	const P = 8
+	for _, v := range []struct {
+		name string
+		opts Options
+	}{
+		{"optimized+verify", VerifyOptions()},
+		{"baseline+verify", func() Options { o := VerifyOptions(); o.BaselineCollectives = true; return o }()},
+		{"optimized", DefaultOptions()},
+		{"baseline", func() Options { o := DefaultOptions(); o.BaselineCollectives = true; return o }()},
+	} {
+		runs := make([][]groupRun, P)
+		if err := NewWorldOpts(P, v.opts).Run(groupScriptBody(runs, make([]float64, P))); err != nil {
+			t.Fatalf("%s: Run failed: %v", v.name, err)
+		}
+		for r, rs := range runs {
+			shapes := wantGroupShapes(r)
+			if len(rs) != len(shapes) {
+				t.Fatalf("%s world rank %d: %d group runs, want %d", v.name, r, len(rs), len(shapes))
+			}
+			for i, gr := range rs {
+				if gr.Size != shapes[i][0] || gr.Rank != shapes[i][1] {
+					t.Errorf("%s world rank %d run %d: group rank %d of %d, want %d of %d",
+						v.name, r, i, gr.Rank, gr.Size, shapes[i][1], shapes[i][0])
+					continue
+				}
+				if want := wantPerRank(gr.Size)[gr.Rank]; !reflect.DeepEqual(gr.Got, want) {
+					t.Errorf("%s world rank %d run %d (group rank %d of %d):\n got %+v\nwant %+v",
+						v.name, r, i, gr.Rank, gr.Size, gr.Got, want)
+				}
+			}
 		}
 	}
 }

@@ -135,7 +135,7 @@ func NewNetWorld(cfg NetConfig, opts Options) (*World, error) {
 	w.boxes = make([]*mailbox, cfg.Size)
 	w.comms = make([]*Comm, cfg.Size)
 	w.boxes[cfg.Rank] = newMailbox(cfg.Size)
-	w.comms[cfg.Rank] = &Comm{world: w, rank: cfg.Rank}
+	w.comms[cfg.Rank] = newWorldComm(w, cfg.Rank)
 
 	d := &netDevice{
 		world:   w,

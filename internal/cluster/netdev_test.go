@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -202,24 +203,28 @@ func TestNetWorldSpecialPayloads(t *testing.T) {
 	}
 }
 
-// TestNetWorldSubComm runs Split + a sub-communicator collective over the
-// wire (splitEntry is part of the pre-registered payload vocabulary).
-func TestNetWorldSubComm(t *testing.T) {
-	const P = 4
-	sums := make([]float64, P)
-	errs, _ := runNetWorld(t, "unix", netAddrs(t, P), DefaultOptions(), func(c *Comm) {
-		sub := c.Split(c.Rank()%2, c.Rank())
-		sums[c.Rank()] = AllreduceSub(sub, float64(c.Rank()+1), func(a, b float64) float64 { return a + b })
-	})
+// TestNetWorldGroups runs the group script (Split groups, a nested
+// split and every collective on each) over the wire: results and
+// simulated clocks must be bit-identical to the in-process run.
+func TestNetWorldGroups(t *testing.T) {
+	const P = 8
+	inRuns, inClocks := make([][]groupRun, P), make([]float64, P)
+	if err := NewWorld(P).Run(groupScriptBody(inRuns, inClocks)); err != nil {
+		t.Fatalf("in-process run: %v", err)
+	}
+	netRuns, netClocks := make([][]groupRun, P), make([]float64, P)
+	errs, _ := runNetWorld(t, "unix", netAddrs(t, P), DefaultOptions(), groupScriptBody(netRuns, netClocks))
 	for r, err := range errs {
 		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
+			t.Fatalf("net rank %d: %v", r, err)
 		}
 	}
-	want := []float64{4, 6, 4, 6} // evens 1+3, odds 2+4
-	for r := range sums {
-		if sums[r] != want[r] {
-			t.Fatalf("subcomm sums = %v, want %v", sums, want)
+	for r := 0; r < P; r++ {
+		if !reflect.DeepEqual(inRuns[r], netRuns[r]) {
+			t.Errorf("rank %d group results differ:\n in-process %+v\n net        %+v", r, inRuns[r], netRuns[r])
+		}
+		if inClocks[r] != netClocks[r] {
+			t.Errorf("rank %d simulated clock: in-process %v, net %v", r, inClocks[r], netClocks[r])
 		}
 	}
 }

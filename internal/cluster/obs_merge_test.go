@@ -8,6 +8,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -189,7 +190,6 @@ func TestMergedNetMetricsMatchesInProcess(t *testing.T) {
 func TestNetWireCounters(t *testing.T) {
 	p := 4
 	traces := tracedNetWorlds(t, p, tracedScriptBody(p))
-	var txN, txB, rxN, rxB int64
 	for r, tr := range traces {
 		snap := tr.Rank(r).Snapshot()
 		if snap.OpCount["net.tx"] == 0 || snap.OpCount["net.rx"] == 0 {
@@ -203,6 +203,17 @@ func TestNetWireCounters(t *testing.T) {
 		if snap.OpSimHist["net.tx"] != nil {
 			t.Errorf("rank %d: wire ops must not fabricate simulated durations", r)
 		}
+	}
+	checkWireConservation(t, traces)
+}
+
+// checkWireConservation requires every frame the ranks encoded to have
+// been decoded by its peer, in both count and bytes.
+func checkWireConservation(t *testing.T, traces []*obs.Trace) {
+	t.Helper()
+	var txN, txB, rxN, rxB int64
+	for r, tr := range traces {
+		snap := tr.Rank(r).Snapshot()
 		txN += snap.OpCount["net.tx"]
 		txB += snap.OpBytes["net.tx"]
 		rxN += snap.OpCount["net.rx"]
@@ -212,4 +223,26 @@ func TestNetWireCounters(t *testing.T) {
 		t.Errorf("wire conservation violated: %d frames / %d bytes encoded but %d / %d decoded",
 			txN, txB, rxN, rxB)
 	}
+}
+
+// TestNetTryRecvWireCounters: a TryRecv hit completes like Recv, so the
+// frame it takes is counted as received on the wire. The Barrier orders
+// the send ahead of the poll: both ride the same connection, and the
+// reader delivers frames in order.
+func TestNetTryRecvWireCounters(t *testing.T) {
+	traces := tracedNetWorlds(t, 2, func(c *Comm) {
+		if c.Rank() == 0 {
+			Send(c, 1, 3, []float64{1, 2, 3})
+		}
+		c.Barrier()
+		if c.Rank() == 1 {
+			if v, ok := TryRecv[[]float64](c, 0, 3); !ok || len(v) != 3 {
+				panic(fmt.Sprintf("TryRecv after Barrier = (%v, %v), want a hit", v, ok))
+			}
+		}
+	})
+	if n := traces[1].Rank(1).Snapshot().OpCount["net.rx"]; n != 2 {
+		t.Errorf("rank 1 decoded %d frames, want 2 (the message and the Barrier token)", n)
+	}
+	checkWireConservation(t, traces)
 }

@@ -3,34 +3,10 @@ package cluster
 import "repro/internal/obs"
 
 // Probe reports whether a message matching (src, tag) is waiting, without
-// receiving it — MPI_Iprobe. src may be AnySource and tag AnyTag. With a
-// trace attached the poll is recorded as an instant event, so a polling
-// manager's duty cycle is visible on the timeline.
+// receiving it — MPI_Iprobe. It is ProbeNext's hit bit.
 func (c *Comm) Probe(src, tag int) bool {
-	box := c.world.boxes[c.rank]
-	box.mu.Lock()
-	_, _, hit := box.probeLocked(src, tag)
-	box.mu.Unlock()
-	if c.rec != nil {
-		c.rec.Instant("probe", src, tag, 0, c.clock, obs.KV{K: "hit", V: boolKV(hit)})
-	}
+	_, _, hit := c.ProbeNext(src, tag)
 	return hit
-}
-
-// probeLocked is Probe's matching scan: a non-destructive peek through
-// the same seq-ordered scan Recv matches with. Earlier versions walked
-// the bySrc buckets in rank order, so a wildcard probe could name a
-// match from a low rank while Recv(AnySource) would deliver an
-// earlier-arrived message from a higher rank — Probe/TryRecv and Recv
-// disagreed about which message was "next". Sharing peek makes the
-// disagreement structurally impossible. Caller holds m.mu.
-func (m *mailbox) probeLocked(src, tag int) (msgSrc, msgTag int, ok bool) {
-	bkt, idx, ok := m.peek(src, tag)
-	if !ok {
-		return 0, 0, false
-	}
-	msg := &m.bySrc[bkt].items[idx]
-	return msg.src, msg.tag, true
 }
 
 // ProbeNext reports the source and tag of the message a matching
@@ -38,16 +14,58 @@ func (m *mailbox) probeLocked(src, tag int) (msgSrc, msgTag int, ok bool) {
 // with its status object. The answer is seq-ordered (true arrival
 // order), so the receive that follows is guaranteed to deliver the
 // message ProbeNext named, provided no other message is consumed in
-// between. src may be AnySource and tag AnyTag.
+// between. src may be AnySource and tag AnyTag (AnyTag on the world
+// only). With a trace attached the poll is recorded as an instant event,
+// so a polling manager's duty cycle is visible on the timeline.
 func (c *Comm) ProbeNext(src, tag int) (msgSrc, msgTag int, ok bool) {
-	box := c.world.boxes[c.rank]
-	box.mu.Lock()
-	msgSrc, msgTag, ok = box.probeLocked(src, tag)
-	box.mu.Unlock()
-	if c.rec != nil {
-		c.rec.Instant("probe", src, tag, 0, c.clock, obs.KV{K: "hit", V: boolKV(ok)})
+	msg, ok := c.poll(src, tag, false)
+	if !ok {
+		return 0, 0, false
 	}
-	return msgSrc, msgTag, ok
+	if tag == AnyTag {
+		tag = msg.tag // world only: a group rejects AnyTag in poll
+	}
+	return c.fromWorld(msg.src, src), tag, true
+}
+
+// TryRecv receives a matching message if one is already waiting; ok is
+// false when none is pending (it never blocks). The manager of a dynamic
+// farm can use it to poll between other duties. A hit completes exactly
+// like Recv (finishRecv); a miss is recorded as an instant probe.
+func TryRecv[T any](c *Comm, src, tag int) (v T, ok bool) {
+	simStart := c.clock
+	var wallStart int64
+	if c.rec != nil {
+		wallStart = c.rec.Now()
+	}
+	msg, ok := c.poll(src, tag, true)
+	if !ok {
+		return v, false
+	}
+	msg = c.finishRecv(msg, src, simStart, wallStart)
+	return msg.payload.(T), true
+}
+
+// poll is the probe path behind ProbeNext and TryRecv: one non-blocking
+// scan of the mailbox through peek, the same seq-ordered match Recv
+// uses, so a probe can never name a different "next message" than the
+// receive that follows it. With take set a match is removed and handed
+// to the caller to finish; otherwise the poll is recorded as a "probe"
+// instant (as is a TryRecv miss). The returned msg.src is a world rank.
+func (c *Comm) poll(src, tag int, take bool) (msg message, ok bool) {
+	wsrc, wtag := c.toWorld(src), c.userTag(tag)
+	box := c.world.boxes[c.worldRank]
+	box.mu.Lock()
+	if take {
+		msg, ok = box.match(wsrc, wtag)
+	} else if bkt, idx, hit := box.peek(wsrc, wtag); hit {
+		msg, ok = box.bySrc[bkt].items[idx], true
+	}
+	box.mu.Unlock()
+	if c.rec != nil && !(take && ok) {
+		c.rec.Instant("probe", wsrc, wtag, 0, c.clock, obs.KV{K: "hit", V: boolKV(ok)})
+	}
+	return msg, ok
 }
 
 func boolKV(b bool) int64 {
@@ -55,33 +73,4 @@ func boolKV(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// TryRecv receives a matching message if one is already waiting; ok is
-// false when none is pending (it never blocks). The manager of a dynamic
-// farm can use it to poll between other duties. A hit counts as a normal
-// receive in an attached trace; a miss is recorded as an instant probe.
-func TryRecv[T any](c *Comm, src, tag int) (v T, ok bool) {
-	box := c.world.boxes[c.rank]
-	simStart := c.clock
-	var wallStart int64
-	if c.rec != nil {
-		wallStart = c.rec.Now()
-	}
-	box.mu.Lock()
-	msg, ok := box.match(src, tag)
-	box.mu.Unlock()
-	if !ok {
-		if c.rec != nil {
-			c.rec.Instant("probe", src, tag, 0, c.clock, obs.KV{K: "hit", V: 0})
-		}
-		return v, false
-	}
-	if msg.arrive > c.clock {
-		c.clock = msg.arrive
-	}
-	if c.rec != nil {
-		c.rec.Recv(msg.src, msg.tag, int64(msg.bytes), simStart, c.clock, wallStart)
-	}
-	return msg.payload.(T), true
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // TestWildcardProbeSeqOrder is the regression test for the wildcard
-// ordering bug: probeLocked used to scan bySrc buckets in rank order
+// ordering bug: the probe scan used to walk bySrc buckets in rank order
 // while Recv(AnySource) matches in global seq (arrival) order, so with
 // messages pending from two sources a probe could name the lower rank's
 // later-arrived message while the receive delivered the higher rank's

@@ -49,7 +49,7 @@ func (c *Comm) beginColl(op string, root int) {
 		return // nested: outermost op wins
 	}
 	if c.rec != nil {
-		c.obsOp, c.obsRoot = op, root
+		c.obsOp, c.obsRoot = op, c.toWorld(root) // trace events are in world ranks
 		c.obsSimStart = c.clock
 		c.obsWallStart = c.rec.Now()
 	}
@@ -57,7 +57,7 @@ func (c *Comm) beginColl(op string, root int) {
 		return
 	}
 	c.curOp, c.curSite = op, callerSite()
-	b := c.world.boxes[c.rank]
+	b := c.world.boxes[c.worldRank]
 	b.mu.Lock()
 	b.opInfo = op + " @ " + c.curSite
 	b.collSeq = c.collSeq
@@ -79,14 +79,15 @@ func (c *Comm) endColl() {
 		return
 	}
 	c.curOp, c.curSite = "", ""
-	b := c.world.boxes[c.rank]
+	b := c.world.boxes[c.worldRank]
 	b.mu.Lock()
 	b.opInfo = ""
 	b.mu.Unlock()
 }
 
 // checkCollStamp panics when the collective stamp on a received message
-// disagrees with the collective this rank is inside.
+// disagrees with the collective this rank is inside. It runs before
+// finishRecv maps msg.src, so the diagnostic names world ranks.
 func (c *Comm) checkCollStamp(msg message) {
 	if msg.op == c.curOp {
 		return
@@ -95,15 +96,15 @@ func (c *Comm) checkCollStamp(msg message) {
 	case c.curOp == "":
 		panic(fmt.Sprintf(
 			"cluster: collective mismatch: rank %d was in a point-to-point receive but matched %s traffic sent by rank %d at %s — rank %d skipped (or has not yet reached) that collective",
-			c.rank, msg.op, msg.src, msg.site, c.rank))
+			c.worldRank, msg.op, msg.src, msg.site, c.worldRank))
 	case msg.op == "":
 		panic(fmt.Sprintf(
 			"cluster: collective mismatch: rank %d entered %s at %s but received point-to-point traffic from rank %d (tag %d) — rank %d is not in the collective",
-			c.rank, c.curOp, c.curSite, msg.src, msg.tag, msg.src))
+			c.worldRank, c.curOp, c.curSite, msg.src, msg.tag, msg.src))
 	default:
 		panic(fmt.Sprintf(
 			"cluster: collective mismatch: rank %d entered %s at %s, but rank %d entered %s at %s — every rank must call the same collective sequence",
-			c.rank, c.curOp, c.curSite, msg.src, msg.op, msg.site))
+			c.worldRank, c.curOp, c.curSite, msg.src, msg.op, msg.site))
 	}
 }
 

@@ -88,7 +88,7 @@ func TestVerifyDeadlockDump(t *testing.T) {
 }
 
 // TestVerifyCleanRun: a correct program must be unaffected by Verify —
-// collectives, point-to-point traffic and sub-communicators all pass.
+// collectives, point-to-point traffic and Split groups all pass.
 func TestVerifyCleanRun(t *testing.T) {
 	const P = 4
 	w := NewWorldOpts(P, VerifyOptions())
@@ -110,9 +110,9 @@ func TestVerifyCleanRun(t *testing.T) {
 			}
 		}
 		sub := c.Split(c.Rank()%2, c.Rank())
-		local := AllreduceSub(sub, 1, func(a, b int) int { return a + b })
+		local := Allreduce(sub, 1, func(a, b int) int { return a + b })
 		if local != P/2 {
-			t.Errorf("rank %d: AllreduceSub got %d", c.Rank(), local)
+			t.Errorf("rank %d: group Allreduce got %d", c.Rank(), local)
 		}
 		c.Barrier()
 	})

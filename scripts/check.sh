@@ -14,6 +14,9 @@ go vet ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== bench harness tests (bench/ is its own module, so ./... skips it)"
+(cd bench && go test ./...)
+
 echo "== peachyvet ./..."
 go run ./cmd/peachyvet ./...
 
