@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -313,6 +314,11 @@ func (d *netDevice) deliver(dst int, msg message) {
 				"cluster: rank %d: send to rank %d failed: %v — connection closed/reset, remote process likely exited or crashed",
 				d.rank, dst, err))
 		}
+		if errors.Is(err, errFrameTooLarge) {
+			panic(fmt.Sprintf(
+				"cluster: rank %d: payload %T cannot be sent to rank %d: %v — split it into smaller messages",
+				d.rank, msg.payload, dst, err))
+		}
 		// Not a transport failure: gob refused the payload.
 		panic(fmt.Sprintf(
 			"cluster: rank %d: payload %T is not wire-safe: %v — netdev payloads must be gob-encodable and registered (cluster.RegisterWire); run `go run ./cmd/peachyvet` for the static wiresafe check",
@@ -321,10 +327,13 @@ func (d *netDevice) deliver(dst int, msg message) {
 	rec.WireSpan("net.tx", frameB, rec.Now()-start)
 }
 
+// isConnError reports whether a write failed because the connection is
+// gone. It matches error values, not text: an encoding error whose
+// message mentions a reset is still an encoding error.
 func isConnError(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) ||
-		errors.Is(err, net.ErrClosed) || strings.Contains(err.Error(), "broken pipe") ||
-		strings.Contains(err.Error(), "connection reset")
+		errors.Is(err, net.ErrClosed) || errors.Is(err, syscall.EPIPE) ||
+		errors.Is(err, syscall.ECONNRESET)
 }
 
 // readLoop decodes frames from one peer into the local mailbox. On
@@ -352,7 +361,10 @@ func (d *netDevice) readLoop(peer int, conn net.Conn) {
 				return // normal shutdown, not a dead peer
 			}
 			desc := "connection reset: " + err.Error()
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			switch {
+			case errors.Is(err, errFrameTooLarge):
+				desc = err.Error()
+			case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
 				desc = "connection closed"
 			}
 			s := desc
@@ -410,6 +422,15 @@ func (d *netDevice) close() error {
 	return nil
 }
 
+// maxFrame bounds the body of one frame (256 MiB). A reader rejects a
+// longer length prefix before allocating for it, so a corrupt or hostile
+// stream cannot exhaust a rank's memory, and a writer refuses to send a
+// longer frame, so an oversized payload fails at its sender.
+const maxFrame = 256 << 20
+
+// errFrameTooLarge marks a frame over maxFrame, read or written.
+var errFrameTooLarge = errors.New("frame too large")
+
 // frameWriter frames each gob-encoded message with a 4-byte big-endian
 // length prefix. The encoder is persistent per connection, so gob type
 // descriptors cross the wire once, with the first frame that uses them.
@@ -432,6 +453,9 @@ func (fw *frameWriter) writeMsg(m *wireMsg) (int64, error) {
 	fw.buf.Reset()
 	if err := fw.enc.Encode(m); err != nil {
 		return 0, err
+	}
+	if fw.buf.Len() > maxFrame {
+		return 0, fmt.Errorf("%w: %d bytes encoded, the limit is %d", errFrameTooLarge, fw.buf.Len(), maxFrame)
 	}
 	binary.BigEndian.PutUint32(fw.hdr[:], uint32(fw.buf.Len()))
 	if _, err := fw.conn.Write(fw.hdr[:]); err != nil {
@@ -456,13 +480,18 @@ type frameReader struct {
 	frameB int64 // wire bytes (headers + bodies) fetched since the last reset
 }
 
-// fetch reads one whole frame (header + body) into the buffer.
+// fetch reads one whole frame (header + body) into the buffer. A header
+// declaring more than maxFrame bytes is an error before any allocation.
 func (fr *frameReader) fetch() error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		return err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	size := binary.BigEndian.Uint32(hdr[:])
+	if size > maxFrame {
+		return fmt.Errorf("%w: header declares %d bytes, the limit is %d", errFrameTooLarge, size, maxFrame)
+	}
+	n := int(size)
 	if cap(fr.buf) < n {
 		fr.buf = make([]byte, n)
 	}

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -309,6 +311,71 @@ func TestNetWorldUnregisteredPayload(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("wire-safety error missing %q:\n%s", want, err)
 		}
+	}
+}
+
+// resetText is a registered wire payload whose encoder fails with an
+// error that mentions a reset.
+type resetText struct{ X int }
+
+func (resetText) GobEncode() ([]byte, error) {
+	return nil, errors.New("connection reset by validator")
+}
+
+func (*resetText) GobDecode([]byte) error { return nil }
+
+// TestNetWorldEncodeErrorIsNotConnError: a send fails as a connection
+// error only for the error values a dead connection returns. An encoder
+// error whose text mentions a reset is still a wire-safety diagnosis.
+func TestNetWorldEncodeErrorIsNotConnError(t *testing.T) {
+	RegisterWire(resetText{})
+	errs, _ := runNetWorld(t, "unix", netAddrs(t, 2), DefaultOptions(), func(c *Comm) {
+		if c.Rank() == 0 {
+			Send(c, 1, 1, resetText{X: 1})
+		} else {
+			// As in TestNetWorldUnregisteredPayload: this receive fails
+			// via dead-peer detection once rank 0's world closes.
+			defer func() { recover() }()
+			Recv[resetText](c, 0, 1)
+		}
+	})
+	err := errs[0]
+	if err == nil {
+		t.Fatal("a payload that fails to encode crossed the wire without error")
+	}
+	if !strings.Contains(err.Error(), "not wire-safe") {
+		t.Errorf("encode failure misdiagnosed, want \"not wire-safe\":\n%s", err)
+	}
+}
+
+// TestNetWorldOversizedFrameDiagnosis: a peer whose stream declares a
+// frame above maxFrame is marked down with a diagnosis naming the
+// declared size and the limit.
+func TestNetWorldOversizedFrameDiagnosis(t *testing.T) {
+	errs, _ := runNetWorld(t, "unix", netAddrs(t, 2), DefaultOptions(), func(c *Comm) {
+		if c.Rank() == 1 {
+			conn := c.world.dev.(*netDevice).conns[0]
+			if _, err := conn.Write([]byte("\xff\xff\xff\xffgob")); err != nil {
+				panic(err)
+			}
+			return
+		}
+		Recv[int](c, 1, 1)
+	})
+	if errs[1] != nil {
+		t.Fatalf("rank 1: %v", errs[1])
+	}
+	err := errs[0]
+	if err == nil {
+		t.Fatal("rank 0 accepted a frame above maxFrame")
+	}
+	for _, want := range []string{"frame too large", "4294967295", strconv.Itoa(maxFrame)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("oversized-frame diagnosis missing %q:\n%s", want, err)
+		}
+	}
+	if strings.Contains(err.Error(), "connection reset") {
+		t.Errorf("oversized frame diagnosed as a reset:\n%s", err)
 	}
 }
 

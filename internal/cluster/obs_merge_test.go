@@ -191,20 +191,33 @@ func TestNetWireCounters(t *testing.T) {
 	p := 4
 	traces := tracedNetWorlds(t, p, tracedScriptBody(p))
 	for r, tr := range traces {
-		snap := tr.Rank(r).Snapshot()
-		if snap.OpCount["net.tx"] == 0 || snap.OpCount["net.rx"] == 0 {
-			t.Fatalf("rank %d: no wire ops recorded (tx=%d rx=%d)",
-				r, snap.OpCount["net.tx"], snap.OpCount["net.rx"])
+		rm := tr.Metrics().PerRank[r]
+		tx, rx := opRow(rm, "net.tx"), opRow(rm, "net.rx")
+		if tx.Count == 0 || rx.Count == 0 {
+			t.Fatalf("rank %d: no wire ops recorded (tx=%d rx=%d)", r, tx.Count, rx.Count)
 		}
-		if snap.OpWallHist["net.tx"].Count() != snap.OpCount["net.tx"] {
-			t.Errorf("rank %d: net.tx histogram count %d != op count %d",
-				r, snap.OpWallHist["net.tx"].Count(), snap.OpCount["net.tx"])
+		var histN int64
+		for _, b := range tx.WallHist {
+			histN += b.N
 		}
-		if snap.OpSimHist["net.tx"] != nil {
+		if histN != tx.Count {
+			t.Errorf("rank %d: net.tx histogram count %d != op count %d", r, histN, tx.Count)
+		}
+		if tx.SimHist != nil {
 			t.Errorf("rank %d: wire ops must not fabricate simulated durations", r)
 		}
 	}
 	checkWireConservation(t, traces)
+}
+
+// opRow returns rm's row for op, or the zero row when op never ran.
+func opRow(rm obs.RankMetrics, op string) obs.OpMetrics {
+	for _, om := range rm.Ops {
+		if om.Op == op {
+			return om
+		}
+	}
+	return obs.OpMetrics{}
 }
 
 // checkWireConservation requires every frame the ranks encoded to have
@@ -213,11 +226,12 @@ func checkWireConservation(t *testing.T, traces []*obs.Trace) {
 	t.Helper()
 	var txN, txB, rxN, rxB int64
 	for r, tr := range traces {
-		snap := tr.Rank(r).Snapshot()
-		txN += snap.OpCount["net.tx"]
-		txB += snap.OpBytes["net.tx"]
-		rxN += snap.OpCount["net.rx"]
-		rxB += snap.OpBytes["net.rx"]
+		rm := tr.Metrics().PerRank[r]
+		tx, rx := opRow(rm, "net.tx"), opRow(rm, "net.rx")
+		txN += tx.Count
+		txB += tx.Bytes
+		rxN += rx.Count
+		rxB += rx.Bytes
 	}
 	if txN != rxN || txB != rxB {
 		t.Errorf("wire conservation violated: %d frames / %d bytes encoded but %d / %d decoded",
@@ -241,7 +255,7 @@ func TestNetTryRecvWireCounters(t *testing.T) {
 			}
 		}
 	})
-	if n := traces[1].Rank(1).Snapshot().OpCount["net.rx"]; n != 2 {
+	if n := opRow(traces[1].Metrics().PerRank[1], "net.rx").Count; n != 2 {
 		t.Errorf("rank 1 decoded %d frames, want 2 (the message and the Barrier token)", n)
 	}
 	checkWireConservation(t, traces)

@@ -8,8 +8,11 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -134,26 +137,25 @@ func TestObsCountersMatchCostModel(t *testing.T) {
 					if err := w.Run(func(c *Comm) { op.body(c, p) }); err != nil {
 						t.Fatal(err)
 					}
-					for r := 0; r < p; r++ {
-						snap := trace.Rank(r).Snapshot()
+					m := trace.Metrics()
+					for r, rm := range m.PerRank {
 						c := w.comms[r]
-						if snap.MsgsSent != c.msgs || snap.BytesSent != c.bytes {
+						if rm.MsgsSent != c.msgs || rm.BytesSent != c.bytes {
 							t.Errorf("rank %d: trace counted %d msgs / %d bytes sent, cost model %d / %d",
-								r, snap.MsgsSent, snap.BytesSent, c.msgs, c.bytes)
+								r, rm.MsgsSent, rm.BytesSent, c.msgs, c.bytes)
 						}
-						if snap.OpCount[op.name] != 1 {
-							t.Errorf("rank %d: OpCount[%s] = %d, want 1", r, op.name, snap.OpCount[op.name])
+						if n := opRow(rm, op.name).Count; n != 1 {
+							t.Errorf("rank %d: %s count = %d, want 1", r, op.name, n)
 						}
 					}
 					// Received totals must mirror sent totals world-wide:
 					// the runtime has no message loss.
 					var sentM, sentB, recvM, recvB int64
-					for r := 0; r < p; r++ {
-						snap := trace.Rank(r).Snapshot()
-						sentM += snap.MsgsSent
-						sentB += snap.BytesSent
-						recvM += snap.MsgsRecv
-						recvB += snap.BytesRecv
+					for _, rm := range m.PerRank {
+						sentM += rm.MsgsSent
+						sentB += rm.BytesSent
+						recvM += rm.MsgsRecv
+						recvB += rm.BytesRecv
 					}
 					if sentM != recvM || sentB != recvB {
 						t.Errorf("world totals: sent %d msgs / %d bytes but received %d / %d",
@@ -174,6 +176,90 @@ func TestObserveMetricsLint(t *testing.T) {
 	}
 	if err := obs.LintMetrics(buf.Bytes()); err != nil {
 		t.Errorf("metrics fail lint: %v", err)
+	}
+}
+
+// TestServeRunningWorld serves a P=4 world's trace while the ranks run
+// the traced script in a loop. Every /metrics document fetched mid-run
+// must lint, and once Run returns /metrics must be byte-identical to
+// WriteMetrics. Under -race this shows that every cluster hook writes
+// the recorders only through their atomics.
+func TestServeRunningWorld(t *testing.T) {
+	const p = 4
+	w := NewWorld(p)
+	trace := w.Observe()
+	srv, err := obs.Serve("127.0.0.1:0", trace, w.ObsInfo())
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+	get := func(path string) ([]byte, error) {
+		resp, err := http.Get("http://" + srv.Addr() + path)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("GET %s: status %d: %s", path, resp.StatusCode, body)
+		}
+		return body, err
+	}
+
+	// The client lints documents until the ranks finish; the ranks keep
+	// looping until it has linted a few, or the client gave up.
+	var linted atomic.Int64
+	done := make(chan struct{})
+	clientErr := make(chan error, 1)
+	go func() { //peachyvet:allow rawgo — the HTTP client racing the running ranks
+		for {
+			body, err := get("/metrics")
+			if err == nil {
+				err = obs.LintMetrics(body)
+			}
+			if err == nil {
+				_, err = get("/healthz")
+			}
+			if err != nil {
+				linted.Store(-1)
+				clientErr <- err
+				return
+			}
+			linted.Add(1)
+			select {
+			case <-done:
+				clientErr <- nil
+				return
+			default:
+			}
+		}
+	}()
+	script := tracedScriptBody(p)
+	err = w.Run(func(c *Comm) {
+		for stop := false; !stop; {
+			script(c)
+			n := linted.Load()
+			stop = Bcast(c, 0, n < 0 || n >= 3)
+		}
+	})
+	close(done)
+	if cerr := <-clientErr; cerr != nil {
+		t.Fatalf("mid-run fetch: %v", cerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := get("/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := trace.WriteMetrics(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("/metrics after Run differs from WriteMetrics\n/metrics:\n%s\nWriteMetrics:\n%s", got, want.Bytes())
 	}
 }
 

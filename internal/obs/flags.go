@@ -78,9 +78,9 @@ func OffsetAddr(addr string, rank int) string {
 	return net.JoinHostPort(host, strconv.Itoa(port+rank))
 }
 
-// Serve starts the live endpoint when one was requested (-obs-listen or
-// the launcher's PEACHY_OBS_LISTEN), attaching live counters to t.
-// Returns nil (no error) when listening is off or there is no trace; the
+// Serve starts the live endpoint for t when one was requested
+// (-obs-listen or the launcher's PEACHY_OBS_LISTEN). Returns nil (no
+// error) when listening is off or there is no trace; the
 // returned *Server is nil-safe to Close, so callers simply
 // `defer o.Serve(...).Close()`-style without guards. The bound address
 // is echoed to stderr — useful with port 0.

@@ -1,6 +1,9 @@
 package obs
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // Log-bucketed duration histograms. Every Hist shares one fixed,
 // compile-time bucket geometry — power-of-two boundaries spanning
@@ -27,8 +30,9 @@ const (
 // the exact count, sum and max, so p100 is exact and quantile upper
 // bounds never overshoot the largest observation.
 //
-// The zero value is ready to use. Like the Recorder that owns it, a
-// Hist is single-writer: only the rank goroutine Observes.
+// The zero value is ready to use. A Hist is a plain value: the Recorder
+// keeps its histograms in atomicHist and loads them into Hists for
+// export, merging and quantiles.
 type Hist struct {
 	count  int64
 	sum    float64
@@ -139,15 +143,6 @@ func (h *Hist) Merge(o *Hist) {
 	}
 }
 
-// Clone returns an independent copy (nil stays nil).
-func (h *Hist) Clone() *Hist {
-	if h == nil {
-		return nil
-	}
-	c := *h
-	return &c
-}
-
 // HistBucket is one non-empty bucket in the metrics JSON export: N
 // observations with previous-bound < v <= Le. Boundaries are exact
 // powers of two, so they round-trip through JSON losslessly and a
@@ -180,6 +175,32 @@ func histFromBuckets(bs []HistBucket, sum, max float64) *Hist {
 	for _, b := range bs {
 		h.bucket[histIndex(b.Le)] += b.N
 		h.count += b.N
+	}
+	return h
+}
+
+// atomicHist is the recorder's store behind a Hist: the same bucket
+// geometry in atomics with a single writer (the rank goroutine), so
+// Trace.Metrics can load it while the rank records. The count is the
+// bucket sum, so a loaded Hist is consistent however the load
+// interleaves with an observation.
+type atomicHist struct {
+	max    atomicFloat
+	bucket [histLen]atomic.Int64
+}
+
+func (a *atomicHist) observe(v float64) {
+	a.max.raise(v)
+	a.bucket[histIndex(v)].Add(1)
+}
+
+// load returns the histogram as a Hist. sum is carried by the owning
+// opRecord.
+func (a *atomicHist) load(sum float64) *Hist {
+	h := &Hist{sum: sum, max: a.max.load()}
+	for i := range a.bucket {
+		h.bucket[i] = a.bucket[i].Load()
+		h.count += h.bucket[i]
 	}
 	return h
 }

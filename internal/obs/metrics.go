@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"sync/atomic"
 )
 
 // OpMetrics aggregates one operation name on one rank (or, in the
@@ -100,8 +101,11 @@ type Metrics struct {
 	TrafficMsgs  [][]int64 `json:"traffic_msgs"`
 }
 
-// Metrics computes the flat metrics view. Call only after the traced
-// program finished.
+// Metrics computes the flat metrics view from the recorders' atomic
+// counters; it never reads the event buffer, so it is safe to call while
+// ranks record. A mid-run document may lag by a few counts, but every
+// sent-side total is a sum of the same loads of each traffic row, so it
+// stays internally consistent. After the run it is exact.
 func (t *Trace) Metrics() *Metrics {
 	m := &Metrics{Ranks: len(t.recs)}
 	m.TrafficBytes = make([][]int64, len(t.recs))
@@ -110,46 +114,37 @@ func (t *Trace) Metrics() *Metrics {
 	agg := map[string]*opAgg{}
 	var aggOps []string
 	for r, rec := range t.recs {
-		m.Events += len(rec.events)
-		m.TrafficBytes[r] = append([]int64(nil), rec.sentBytesTo...)
-		m.TrafficMsgs[r] = append([]int64(nil), rec.sentMsgsTo...)
+		m.Events += int(rec.nEvents.Load())
 		rm := RankMetrics{
 			Rank:           r,
-			MsgsSent:       rec.ctr.MsgsSent,
-			BytesSent:      rec.ctr.BytesSent,
-			MsgsRecv:       rec.ctr.MsgsRecv,
-			BytesRecv:      rec.ctr.BytesRecv,
-			RecvWaitSim:    rec.ctr.RecvWaitSim,
-			RecvWaitWallNs: rec.ctr.RecvWaitWall,
-			BarrierWaitSim: rec.ctr.OpSim["Barrier"],
+			MsgsRecv:       rec.msgsRecv.Load(),
+			BytesRecv:      rec.bytesRecv.Load(),
+			SimTotal:       rec.simEnd.load(),
+			RecvWaitSim:    rec.recvWaitSim.load(),
+			RecvWaitWallNs: rec.recvWaitWall.Load(),
 		}
-		for _, ev := range rec.events {
-			if ev.SimEnd > rm.SimTotal {
-				rm.SimTotal = ev.SimEnd
-			}
-		}
+		m.TrafficMsgs[r], rm.MsgsSent = loadRow(rec.sentMsgs)
+		m.TrafficBytes[r], rm.BytesSent = loadRow(rec.sentBytes)
 		rm.SimBusy = rm.SimTotal - rm.RecvWaitSim
 		if rm.SimBusy < 0 {
 			rm.SimBusy = 0
 		}
-		ops := make([]string, 0, len(rec.ctr.OpCount))
-		for op := range rec.ctr.OpCount {
-			ops = append(ops, op)
-		}
-		sort.Strings(ops)
-		for _, op := range ops {
-			om := newOpMetrics(op, rec.ctr.OpCount[op], rec.ctr.OpSim[op],
-				rec.ctr.OpWall[op], rec.ctr.OpBytes[op],
-				rec.ctr.OpSimHist[op], rec.ctr.OpWallHist[op])
+		ops := append([]*opRecord(nil), rec.opList()...)
+		sort.Slice(ops, func(i, j int) bool { return ops[i].op < ops[j].op })
+		for _, o := range ops {
+			om := o.metrics()
 			rm.Ops = append(rm.Ops, om)
-			if CollectiveOps[op] {
-				rm.Collectives += rec.ctr.OpCount[op]
+			if CollectiveOps[o.op] {
+				rm.Collectives += om.Count
 			}
-			a := agg[op]
+			if o.op == "Barrier" {
+				rm.BarrierWaitSim = om.SimS
+			}
+			a := agg[o.op]
 			if a == nil {
 				a = &opAgg{simH: &Hist{}, wallH: &Hist{}}
-				agg[op] = a
-				aggOps = append(aggOps, op)
+				agg[o.op] = a
+				aggOps = append(aggOps, o.op)
 			}
 			a.fold(om)
 		}
@@ -172,6 +167,25 @@ func (t *Trace) Metrics() *Metrics {
 		m.Ops = append(m.Ops, agg[op].metrics(op))
 	}
 	return m
+}
+
+// loadRow loads one traffic-matrix row and returns it with its sum.
+func loadRow(row []atomic.Int64) ([]int64, int64) {
+	out := make([]int64, len(row))
+	var sum int64
+	for d := range row {
+		out[d] = row[d].Load()
+		sum += out[d]
+	}
+	return out, sum
+}
+
+// metrics loads the record into its exported row.
+func (o *opRecord) metrics() OpMetrics {
+	simS, wallNs := o.sim.load(), o.wallNs.Load()
+	wallH := o.wallHist.load(float64(wallNs))
+	return newOpMetrics(o.op, wallH.Count(), simS, wallNs, o.bytes.Load(),
+		o.simHist.load(simS), wallH)
 }
 
 // opAgg folds per-rank OpMetrics rows into the run-level row. Folding
@@ -209,9 +223,13 @@ func (a *opAgg) metrics(op string) OpMetrics {
 	return newOpMetrics(op, a.count, a.simS, a.wallNs, a.bytes, a.simH, a.wallH)
 }
 
-// WriteMetrics writes the metrics document as indented JSON.
-func (t *Trace) WriteMetrics(w io.Writer) error {
+// WriteMetrics writes the metrics document as indented JSON. The live
+// endpoint's /metrics serves exactly these bytes.
+func (t *Trace) WriteMetrics(w io.Writer) error { return writeJSON(w, t.Metrics()) }
+
+// writeJSON writes v as indented JSON.
+func writeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(t.Metrics())
+	return enc.Encode(v)
 }

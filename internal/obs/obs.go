@@ -5,13 +5,16 @@
 // time — and this package turns the deterministic cost model's single
 // numbers into explainable timelines.
 //
-// A Trace owns one Recorder per rank. Each Recorder is a lock-free
-// append-only buffer owned by its rank's goroutine: ranks never contend
+// A Trace owns one Recorder per rank. Each Recorder is written only by
+// its rank's goroutine: an append-only event buffer plus one set of
+// counters, each an atomic with that single writer. Ranks never contend
 // on a shared structure, and a nil *Recorder is the disabled state — every
 // recording method is nil-safe, so instrumented hot paths pay a single
-// branch when observability is off. Read a Trace (Events, Metrics,
-// exporters) only after the instrumented program has finished; World.Run's
-// completion is the required happens-before edge.
+// branch when observability is off. Read the event buffer (Events,
+// WriteChrome) only after the instrumented program has finished;
+// World.Run's completion is the required happens-before edge. Metrics
+// (and WriteMetrics, WriteSummary) read only the atomic counters, so
+// they may be called at any time, also while ranks record.
 //
 // Exporters: WriteChrome emits Chrome trace_event JSON on the simulated
 // timeline (one track per rank, deterministic across runs of the same
@@ -21,7 +24,11 @@
 // imbalance. See docs/observability.md.
 package obs
 
-import "time"
+import (
+	"math"
+	"sync/atomic"
+	"time"
+)
 
 // KV is one extra integer annotation on an event (task ids, key counts,
 // record counts). A flat int64 keeps recording allocation-free and the
@@ -51,45 +58,66 @@ type Event struct {
 	KV                 []KV
 }
 
-// Counters are one rank's accumulated totals. Op* maps aggregate per
-// operation name (collective invocations, substrate phases, wire-level
-// transport ops): flat count/sum totals, plus log-bucketed duration
-// histograms whose fixed boundaries make cross-rank merging exact.
-// OpBytes is populated by WireSpan only (frame bytes per wire op).
-type Counters struct {
-	MsgsSent, BytesSent int64
-	MsgsRecv, BytesRecv int64
-	// RecvWaitSim/RecvWaitWall accumulate time blocked in receives:
-	// simulated seconds the clock jumped forward to a message's arrival,
-	// and wall nanoseconds spent in the blocking take.
-	RecvWaitSim  float64
-	RecvWaitWall int64
-	OpCount      map[string]int64
-	OpSim        map[string]float64
-	OpWall       map[string]int64
-	OpBytes      map[string]int64
-	OpSimHist    map[string]*Hist
-	OpWallHist   map[string]*Hist
-}
-
 // Recorder captures one rank's events and counters. It must only be used
 // by the goroutine that owns the rank; a nil Recorder discards everything
 // at the cost of one branch per call.
+//
+// The counters are the rank's only books. Each is an atomic written by
+// the owning goroutine alone, so Trace.Metrics may load them from any
+// goroutine while the rank runs; a load taken mid-event may lag the
+// other fields by a count.
 type Recorder struct {
 	rank   int
 	epoch  time.Time
 	events []Event
-	ctr    Counters
-	// sentMsgsTo/sentBytesTo index by destination rank: this rank's row of
-	// the world's traffic matrix.
-	sentMsgsTo  []int64
-	sentBytesTo []int64
-	// live, when non-nil, mirrors the counters into atomics a concurrent
-	// HTTP snapshot (Serve) may read while the rank is still running. The
-	// recorder itself stays single-writer and lock-free; with no live
-	// endpoint attached the cost is one extra nil check per event.
-	live    *liveRank
-	liveOps map[string]*liveOp // owner-goroutine cache of live.ops entries
+	// sentMsgs/sentBytes index by destination rank: this rank's row of
+	// the world's traffic matrix, and the only count of what it sent.
+	sentMsgs  []atomic.Int64
+	sentBytes []atomic.Int64
+	msgsRecv  atomic.Int64
+	bytesRecv atomic.Int64
+	// recvWaitSim/recvWaitWall accumulate time blocked in receives:
+	// simulated seconds the clock jumped forward to a message's arrival,
+	// and wall nanoseconds spent in the blocking take.
+	recvWaitSim  atomicFloat
+	recvWaitWall atomic.Int64
+	nEvents      atomic.Int64
+	simEnd       atomicFloat  // latest simulated end of any event
+	lastProgress atomic.Int64 // wall end of the latest event (Now's scale)
+	// ops holds the per-op aggregates, copy-on-write so that readers
+	// iterate an immutable slice; opIndex is the writer's lookup into it.
+	ops     atomic.Pointer[[]*opRecord]
+	opIndex map[string]*opRecord
+}
+
+// opRecord aggregates one operation name on one rank (collective
+// invocations, substrate phases, wire-level transport ops): duration
+// totals, frame bytes (WireSpan only), and log-bucketed duration
+// histograms whose fixed boundaries make cross-rank merging exact.
+// Every invocation observes wallHist once, so its total is the
+// invocation count.
+type opRecord struct {
+	op       string
+	sim      atomicFloat
+	wallNs   atomic.Int64
+	bytes    atomic.Int64
+	simHist  atomicHist
+	wallHist atomicHist
+}
+
+// atomicFloat is a float64 with a single writer and any number of
+// readers.
+type atomicFloat struct{ bits atomic.Uint64 }
+
+func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
+
+func (f *atomicFloat) add(d float64) { f.bits.Store(math.Float64bits(f.load() + d)) }
+
+// raise stores v if it exceeds the current value.
+func (f *atomicFloat) raise(v float64) {
+	if v > f.load() {
+		f.bits.Store(math.Float64bits(v))
+	}
 }
 
 // Trace is a whole-program collection of per-rank recorders sharing one
@@ -107,15 +135,11 @@ func NewTrace(ranks int) *Trace {
 	t := &Trace{epoch: time.Now(), recs: make([]*Recorder, ranks)}
 	for r := range t.recs {
 		t.recs[r] = &Recorder{
-			rank:  r,
-			epoch: t.epoch,
-			ctr: Counters{
-				OpCount: map[string]int64{}, OpSim: map[string]float64{},
-				OpWall: map[string]int64{}, OpBytes: map[string]int64{},
-				OpSimHist: map[string]*Hist{}, OpWallHist: map[string]*Hist{},
-			},
-			sentMsgsTo:  make([]int64, ranks),
-			sentBytesTo: make([]int64, ranks),
+			rank:      r,
+			epoch:     t.epoch,
+			sentMsgs:  make([]atomic.Int64, ranks),
+			sentBytes: make([]atomic.Int64, ranks),
+			opIndex:   map[string]*opRecord{},
 		}
 	}
 	return t
@@ -156,33 +180,13 @@ func (r *Recorder) Events() []Event {
 	return r.events
 }
 
-// Snapshot returns a copy of this rank's counters.
-func (r *Recorder) Snapshot() Counters {
-	if r == nil {
-		return Counters{}
-	}
-	c := r.ctr
-	c.OpCount = copyMap(r.ctr.OpCount)
-	c.OpSim = copyMap(r.ctr.OpSim)
-	c.OpWall = copyMap(r.ctr.OpWall)
-	c.OpBytes = copyMap(r.ctr.OpBytes)
-	c.OpSimHist = make(map[string]*Hist, len(r.ctr.OpSimHist))
-	for k, h := range r.ctr.OpSimHist {
-		c.OpSimHist[k] = h.Clone()
-	}
-	c.OpWallHist = make(map[string]*Hist, len(r.ctr.OpWallHist))
-	for k, h := range r.ctr.OpWallHist {
-		c.OpWallHist[k] = h.Clone()
-	}
-	return c
-}
-
-func copyMap[V int64 | float64](m map[string]V) map[string]V {
-	out := make(map[string]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+// record appends ev and publishes it to the counters Metrics reads:
+// the event count, the simulated high-water mark and the progress stamp.
+func (r *Recorder) record(ev Event) {
+	r.events = append(r.events, ev)
+	r.nEvents.Add(1)
+	r.simEnd.raise(ev.SimEnd)
+	r.lastProgress.Store(ev.WallEnd)
 }
 
 // Span records a completed span.
@@ -190,12 +194,11 @@ func (r *Recorder) Span(op string, peer, tag int, bytes int64, simStart, simEnd 
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{
+	r.record(Event{
 		Rank: r.rank, Op: op, Peer: peer, Tag: tag, Bytes: bytes,
 		SimStart: simStart, SimEnd: simEnd, WallStart: wallStart, WallEnd: wallEnd,
 		KV: kv,
 	})
-	r.liveMark(simEnd)
 }
 
 // Instant records a zero-duration event at the given simulated time.
@@ -204,37 +207,27 @@ func (r *Recorder) Instant(op string, peer, tag int, bytes int64, sim float64, k
 		return
 	}
 	now := r.Now()
-	r.events = append(r.events, Event{
+	r.record(Event{
 		Rank: r.rank, Op: op, Peer: peer, Tag: tag, Bytes: bytes,
 		SimStart: sim, SimEnd: sim, WallStart: now, WallEnd: now,
 		Instant: true, KV: kv,
 	})
-	r.liveMark(sim)
 }
 
 // Send records one point-to-point send: a span covering the simulated
-// α + β·bytes transmission, plus the sent-side counters and this rank's
-// traffic-matrix row.
+// α + β·bytes transmission, and the message in this rank's
+// traffic-matrix row. dst must be a rank of the trace's world.
 func (r *Recorder) Send(dst, tag int, bytes int64, simStart, simEnd float64) {
 	if r == nil {
 		return
 	}
 	now := r.Now()
-	r.events = append(r.events, Event{
+	r.record(Event{
 		Rank: r.rank, Op: "send", Peer: dst, Tag: tag, Bytes: bytes,
 		SimStart: simStart, SimEnd: simEnd, WallStart: now, WallEnd: now,
 	})
-	r.ctr.MsgsSent++
-	r.ctr.BytesSent += bytes
-	if dst >= 0 && dst < len(r.sentMsgsTo) {
-		r.sentMsgsTo[dst]++
-		r.sentBytesTo[dst] += bytes
-	}
-	if r.live != nil {
-		r.live.msgsSent.Add(1)
-		r.live.bytesSent.Add(bytes)
-		r.liveMark(simEnd)
-	}
+	r.sentMsgs[dst].Add(1)
+	r.sentBytes[dst].Add(bytes)
 }
 
 // Recv records one completed receive: a span from the simulated time the
@@ -245,19 +238,14 @@ func (r *Recorder) Recv(src, tag int, bytes int64, simStart, simEnd float64, wal
 		return
 	}
 	now := r.Now()
-	r.events = append(r.events, Event{
+	r.record(Event{
 		Rank: r.rank, Op: "recv", Peer: src, Tag: tag, Bytes: bytes,
 		SimStart: simStart, SimEnd: simEnd, WallStart: wallStart, WallEnd: now,
 	})
-	r.ctr.MsgsRecv++
-	r.ctr.BytesRecv += bytes
-	r.ctr.RecvWaitSim += simEnd - simStart
-	r.ctr.RecvWaitWall += now - wallStart
-	if r.live != nil {
-		r.live.msgsRecv.Add(1)
-		r.live.bytesRecv.Add(bytes)
-		r.liveMark(simEnd)
-	}
+	r.msgsRecv.Add(1)
+	r.bytesRecv.Add(bytes)
+	r.recvWaitSim.add(simEnd - simStart)
+	r.recvWaitWall.Add(now - wallStart)
 }
 
 // Collective records a whole collective invocation as a span and
@@ -267,12 +255,11 @@ func (r *Recorder) Collective(op string, root int, simStart, simEnd float64, wal
 		return
 	}
 	now := r.Now()
-	r.events = append(r.events, Event{
+	r.record(Event{
 		Rank: r.rank, Op: op, Peer: root,
 		SimStart: simStart, SimEnd: simEnd, WallStart: wallStart, WallEnd: now,
 	})
 	r.countOp(op, simEnd-simStart, now-wallStart)
-	r.liveMark(simEnd)
 }
 
 // WallSpan records a span for substrates with no simulated clock (rdd,
@@ -285,14 +272,13 @@ func (r *Recorder) WallSpan(op string, startNs int64, kv ...KV) {
 		return
 	}
 	now := r.Now()
-	r.events = append(r.events, Event{
+	r.record(Event{
 		Rank: r.rank, Op: op, Peer: -1,
 		SimStart: float64(startNs) * 1e-9, SimEnd: float64(now) * 1e-9,
 		WallStart: startNs, WallEnd: now,
 		KV: kv,
 	})
 	r.countOp(op, float64(now-startNs)*1e-9, now-startNs)
-	r.liveMark(float64(now) * 1e-9)
 }
 
 // PhaseSpan records a named phase span with explicit simulated bounds
@@ -303,13 +289,12 @@ func (r *Recorder) PhaseSpan(op string, simStart, simEnd float64, wallStart int6
 		return
 	}
 	now := r.Now()
-	r.events = append(r.events, Event{
+	r.record(Event{
 		Rank: r.rank, Op: op, Peer: -1,
 		SimStart: simStart, SimEnd: simEnd, WallStart: wallStart, WallEnd: now,
 		KV: kv,
 	})
 	r.countOp(op, simEnd-simStart, now-wallStart)
-	r.liveMark(simEnd)
 }
 
 // WireSpan accumulates one wire-level transport operation (the net
@@ -323,49 +308,41 @@ func (r *Recorder) WireSpan(op string, bytes, wallNs int64) {
 	if r == nil {
 		return
 	}
-	r.ctr.OpCount[op]++
-	r.ctr.OpWall[op] += wallNs
-	r.ctr.OpBytes[op] += bytes
-	h := r.ctr.OpWallHist[op]
-	if h == nil {
-		h = &Hist{}
-		r.ctr.OpWallHist[op] = h
-	}
-	h.Observe(float64(wallNs))
-	if r.live != nil {
-		lo := r.liveFor(op)
-		lo.count.Add(1)
-		lo.wallNs.Add(wallNs)
-		lo.bytes.Add(bytes)
-		lo.wallHist.observe(float64(wallNs))
-		r.liveMark(0)
-	}
+	o := r.opFor(op)
+	o.wallNs.Add(wallNs)
+	o.bytes.Add(bytes)
+	o.wallHist.observe(float64(wallNs))
 }
 
 func (r *Recorder) countOp(op string, simDur float64, wallDur int64) {
-	r.ctr.OpCount[op]++
-	r.ctr.OpSim[op] += simDur
-	r.ctr.OpWall[op] += wallDur
-	simH := r.ctr.OpSimHist[op]
-	if simH == nil {
-		simH = &Hist{}
-		r.ctr.OpSimHist[op] = simH
+	o := r.opFor(op)
+	o.sim.add(simDur)
+	o.wallNs.Add(wallDur)
+	o.simHist.observe(simDur)
+	o.wallHist.observe(float64(wallDur))
+}
+
+// opFor returns op's aggregate, creating it on first use. A new record
+// is published in a fresh copy of the list, so a reader never sees a
+// slice that is being appended to.
+func (r *Recorder) opFor(op string) *opRecord {
+	o := r.opIndex[op]
+	if o == nil {
+		o = &opRecord{op: op}
+		r.opIndex[op] = o
+		old := r.opList()
+		list := append(old[:len(old):len(old)], o)
+		r.ops.Store(&list)
 	}
-	simH.Observe(simDur)
-	wallH := r.ctr.OpWallHist[op]
-	if wallH == nil {
-		wallH = &Hist{}
-		r.ctr.OpWallHist[op] = wallH
+	return o
+}
+
+// opList returns the per-op aggregates in creation order.
+func (r *Recorder) opList() []*opRecord {
+	if l := r.ops.Load(); l != nil {
+		return *l
 	}
-	wallH.Observe(float64(wallDur))
-	if r.live != nil {
-		lo := r.liveFor(op)
-		lo.count.Add(1)
-		lo.addSim(simDur)
-		lo.wallNs.Add(wallDur)
-		lo.simHist.observe(simDur)
-		lo.wallHist.observe(float64(wallDur))
-	}
+	return nil
 }
 
 // CollectiveOps is the set of cluster collective op names, used by the

@@ -1,203 +1,25 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"sort"
-	"sync/atomic"
 	"time"
 )
 
-// The live endpoint: an opt-in HTTP server (-obs-listen) that exposes a
-// running rank's counters and histograms at /metrics, a liveness
-// document at /healthz, and net/http/pprof — so a long multi-process
-// launch is not a black box until it exits.
+// The live endpoint: an opt-in HTTP server (-obs-listen) that serves a
+// running rank's metrics document at /metrics, a liveness document at
+// /healthz, and net/http/pprof — so a long multi-process launch is not
+// a black box until it exits.
 //
-// Concurrency contract: the Recorder stays single-writer and lock-free.
-// When a live endpoint is attached, every recording method additionally
-// mirrors its counters into this file's atomics (one extra nil check
-// when detached, a handful of atomic adds when attached); the HTTP
-// handlers read *only* those atomics, never the recorder's maps or
-// event buffer, so snapshot reads are race-free against the hot path
-// without any locking. A snapshot taken mid-event may be a few counts
-// ahead or behind on individual fields — that is the accepted price of
-// lock-freedom, and every exported artifact still comes from the
-// post-run exporters, not from here.
-
-// liveHist mirrors a Hist into atomics. Same fixed bucket geometry;
-// single writer (the rank goroutine), any number of readers.
-type liveHist struct {
-	count   atomic.Int64
-	maxBits atomic.Uint64 // math.Float64bits of the max; single-writer
-	bucket  [histLen]atomic.Int64
-}
-
-func (l *liveHist) observe(v float64) {
-	l.count.Add(1)
-	if v > math.Float64frombits(l.maxBits.Load()) {
-		l.maxBits.Store(math.Float64bits(v))
-	}
-	l.bucket[histIndex(v)].Add(1)
-}
-
-// snapshot materializes a plain Hist from the atomics. sum is carried
-// by the owning liveOp (the histogram itself only needs count/max/buckets
-// for quantiles).
-func (l *liveHist) snapshot(sum float64) *Hist {
-	h := &Hist{
-		count: l.count.Load(),
-		sum:   sum,
-		max:   math.Float64frombits(l.maxBits.Load()),
-	}
-	for i := range l.bucket {
-		h.bucket[i] = l.bucket[i].Load()
-	}
-	return h
-}
-
-// liveOp is one op's live aggregate. Entries are created by the rank
-// goroutine and published copy-on-write through liveRank.ops, so
-// readers iterate an immutable slice.
-type liveOp struct {
-	op       string
-	count    atomic.Int64
-	simBits  atomic.Uint64 // Float64bits of the sim-seconds sum; single-writer
-	wallNs   atomic.Int64
-	bytes    atomic.Int64
-	simHist  liveHist
-	wallHist liveHist
-}
-
-func (lo *liveOp) addSim(d float64) {
-	lo.simBits.Store(math.Float64bits(math.Float64frombits(lo.simBits.Load()) + d))
-}
-
-// liveRank is one rank's live counter mirror.
-type liveRank struct {
-	msgsSent, bytesSent atomic.Int64
-	msgsRecv, bytesRecv atomic.Int64
-	events              atomic.Int64
-	lastProgress        atomic.Int64  // Recorder.Now() at the last recorded event
-	simBits             atomic.Uint64 // Float64bits of the furthest simulated time reached
-	ops                 atomic.Pointer[[]*liveOp]
-}
-
-// liveMark publishes per-event progress: the event count, the
-// last-progress wall stamp /healthz keys off, and the high-water
-// simulated time. No-op without a live endpoint.
-func (r *Recorder) liveMark(simEnd float64) {
-	lv := r.live
-	if lv == nil {
-		return
-	}
-	lv.events.Add(1)
-	lv.lastProgress.Store(r.Now())
-	if simEnd > math.Float64frombits(lv.simBits.Load()) {
-		lv.simBits.Store(math.Float64bits(simEnd))
-	}
-}
-
-// liveFor returns op's live aggregate, creating and publishing it on
-// first use. Only the rank goroutine calls this; readers see the new
-// entry via the copy-on-write ops slice.
-func (r *Recorder) liveFor(op string) *liveOp {
-	lo := r.liveOps[op]
-	if lo == nil {
-		lo = &liveOp{op: op}
-		r.liveOps[op] = lo
-		var list []*liveOp
-		if old := r.live.ops.Load(); old != nil {
-			list = append(list, *old...)
-		}
-		list = append(list, lo)
-		r.live.ops.Store(&list)
-	}
-	return lo
-}
-
-// EnableLive attaches the atomic live-counter mirrors to every rank's
-// recorder. Serve calls it; call it directly only in tests. Must run
-// before the instrumented program starts (ranks must be quiescent).
-func (t *Trace) EnableLive() {
-	for _, r := range t.recs {
-		if r.live == nil {
-			r.live = &liveRank{}
-			r.liveOps = map[string]*liveOp{}
-		}
-	}
-}
-
-// LiveRankMetrics is one rank's live snapshot in the /metrics document.
-type LiveRankMetrics struct {
-	Rank           int         `json:"rank"`
-	MsgsSent       int64       `json:"msgs_sent"`
-	BytesSent      int64       `json:"bytes_sent"`
-	MsgsRecv       int64       `json:"msgs_recv"`
-	BytesRecv      int64       `json:"bytes_recv"`
-	Events         int64       `json:"events"`
-	SimNow         float64     `json:"sim_now_s"`
-	LastProgressNs int64       `json:"last_progress_ns"`
-	Ops            []OpMetrics `json:"ops,omitempty"`
-}
-
-// LiveMetrics is the /metrics response: a consistent-enough snapshot of
-// the live counters while the instrumented program is still running.
-// In a launched world only the local rank's entry has data; in-process
-// worlds show every rank.
-type LiveMetrics struct {
-	Ranks      int               `json:"ranks"`
-	Events     int64             `json:"events"`
-	TotalMsgs  int64             `json:"total_msgs"`
-	TotalBytes int64             `json:"total_bytes"`
-	SimNow     float64           `json:"sim_now_s"`
-	UptimeS    float64           `json:"uptime_s"`
-	PerRank    []LiveRankMetrics `json:"per_rank"`
-}
-
-// LiveMetrics snapshots the live counters. Safe to call from any
-// goroutine while ranks are recording, but only meaningful after
-// EnableLive (all zeros otherwise).
-func (t *Trace) LiveMetrics() *LiveMetrics {
-	m := &LiveMetrics{Ranks: len(t.recs), UptimeS: time.Since(t.epoch).Seconds()}
-	for r, rec := range t.recs {
-		rm := LiveRankMetrics{Rank: r}
-		if lv := rec.live; lv != nil {
-			rm.MsgsSent = lv.msgsSent.Load()
-			rm.BytesSent = lv.bytesSent.Load()
-			rm.MsgsRecv = lv.msgsRecv.Load()
-			rm.BytesRecv = lv.bytesRecv.Load()
-			rm.Events = lv.events.Load()
-			rm.SimNow = math.Float64frombits(lv.simBits.Load())
-			rm.LastProgressNs = lv.lastProgress.Load()
-			if ops := lv.ops.Load(); ops != nil {
-				list := *ops
-				rm.Ops = make([]OpMetrics, 0, len(list))
-				for _, lo := range list {
-					simS := math.Float64frombits(lo.simBits.Load())
-					simH := lo.simHist.snapshot(simS)
-					wallH := lo.wallHist.snapshot(float64(lo.wallNs.Load()))
-					rm.Ops = append(rm.Ops, newOpMetrics(lo.op,
-						lo.count.Load(), simS, lo.wallNs.Load(), lo.bytes.Load(),
-						simH, wallH))
-				}
-				sort.Slice(rm.Ops, func(i, j int) bool { return rm.Ops[i].Op < rm.Ops[j].Op })
-			}
-		}
-		m.Events += rm.Events
-		m.TotalMsgs += rm.MsgsSent
-		m.TotalBytes += rm.BytesSent
-		if rm.SimNow > m.SimNow {
-			m.SimNow = rm.SimNow
-		}
-		m.PerRank = append(m.PerRank, rm)
-	}
-	return m
-}
+// Concurrency contract: /metrics is Trace.Metrics, the document
+// -metrics writes, and /healthz reads the recorders' progress stamps.
+// Both read only the recorders' single-writer atomics, never the event
+// buffer, so serving is race-free against running ranks without any
+// locking. A document fetched mid-run may lag by a few counts; once the
+// ranks finish it is byte-identical to WriteMetrics.
 
 // ServerInfo identifies the serving process for /healthz. Rank is the
 // process's rank in a launched world, or -1 when every rank is
@@ -233,14 +55,12 @@ func (s *Server) Close() error {
 	return s.srv.Close()
 }
 
-// Serve enables live counters on t and serves them over HTTP on addr:
-// GET /metrics returns the LiveMetrics JSON snapshot, GET /healthz the
-// liveness document (rank, world, device, last-progress stamp), and
-// /debug/pprof/* the standard Go profiles. Call before the instrumented
-// program starts; Close when done. Handlers never touch the recorders'
-// single-writer state, so serving is race-free against running ranks.
+// Serve serves t over HTTP on addr: GET /metrics returns the metrics
+// document (WriteMetrics), GET /healthz the liveness document (rank,
+// world, device, last-progress stamp), and /debug/pprof/* the standard
+// Go profiles. Close when done. Handlers read only the recorders'
+// atomic counters, so serving is race-free against running ranks.
 func Serve(addr string, t *Trace, info ServerInfo) (*Server, error) {
-	t.EnableLive()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: live endpoint listen %s: %w", addr, err)
@@ -248,15 +68,14 @@ func Serve(addr string, t *Trace, info ServerInfo) (*Server, error) {
 	start := time.Now()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, t.LiveMetrics())
+		w.Header().Set("Content-Type", "application/json")
+		t.WriteMetrics(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		var lastNs int64
 		for _, rec := range t.recs {
-			if rec.live != nil {
-				if v := rec.live.lastProgress.Load(); v > lastNs {
-					lastNs = v
-				}
+			if v := rec.lastProgress.Load(); v > lastNs {
+				lastNs = v
 			}
 		}
 		h := struct {
@@ -277,6 +96,7 @@ func Serve(addr string, t *Trace, info ServerInfo) (*Server, error) {
 		if lastNs > 0 {
 			h.LastProgressAgoS = (time.Since(t.epoch) - time.Duration(lastNs)).Seconds()
 		}
+		w.Header().Set("Content-Type", "application/json")
 		writeJSON(w, h)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -289,11 +109,4 @@ func Serve(addr string, t *Trace, info ServerInfo) (*Server, error) {
 	// tears it down, alongside (not inside) the traced world's ranks.
 	go srv.Serve(ln) //peachyvet:allow rawgo — server-lifetime goroutine, reaped by Server.Close
 	return &Server{ln: ln, srv: srv}, nil
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

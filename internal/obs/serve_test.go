@@ -1,11 +1,11 @@
-// Tests for the live endpoint: the atomic snapshot must agree with the
-// recorder's own counters once the rank goroutine quiesces, the HTTP
-// surface must serve valid JSON while recording is still in flight (the
-// race detector is the real assertion there), and the nil/disabled
-// paths must be safe.
+// Tests for the live endpoint: once recording stops, /metrics must be
+// byte-identical to WriteMetrics; while a writer is still recording,
+// every /metrics document must lint (the race detector is the other
+// assertion there); and the nil/disabled paths must be safe.
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,44 +14,73 @@ import (
 	"testing"
 )
 
-func TestLiveMetricsSnapshot(t *testing.T) {
+// httpGet fetches path from the endpoint and returns the body of a 200
+// response.
+func httpGet(t *testing.T, srv *Server, path string) []byte {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("http://%s%s", srv.Addr(), path))
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: reading body: %v", path, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
+	}
+	return body
+}
+
+func TestServeMetricsAfterRun(t *testing.T) {
 	tr := NewTrace(2)
-	tr.EnableLive()
+	srv, err := Serve("127.0.0.1:0", tr, ServerInfo{Rank: -1, World: 2, Device: "inproc"})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
 	for r := 0; r < 2; r++ {
 		mergeScript(tr.Rank(r), r, 2)
 	}
-	lm := tr.LiveMetrics()
-	if lm.Ranks != 2 {
-		t.Fatalf("Ranks = %d, want 2", lm.Ranks)
+
+	got := httpGet(t, srv, "/metrics")
+	var want bytes.Buffer
+	if err := tr.WriteMetrics(&want); err != nil {
+		t.Fatal(err)
 	}
-	if lm.TotalMsgs != 2 || lm.TotalBytes != 128 {
-		t.Errorf("totals = %d msgs / %d bytes, want 2 / 128", lm.TotalMsgs, lm.TotalBytes)
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("/metrics differs from WriteMetrics\n/metrics:\n%s\nWriteMetrics:\n%s", got, want.Bytes())
 	}
-	for r, rm := range lm.PerRank {
-		if rm.MsgsSent != 1 || rm.MsgsRecv != 1 {
-			t.Errorf("rank %d: live sent/recv = %d/%d, want 1/1", r, rm.MsgsSent, rm.MsgsRecv)
-		}
-		if rm.LastProgressNs == 0 {
-			t.Errorf("rank %d: no live progress mark", r)
-		}
-		// The per-op live rows mirror the single-writer counters.
-		want := tr.Rank(r).Snapshot()
-		for _, op := range rm.Ops {
-			if op.Count != want.OpCount[op.Op] {
-				t.Errorf("rank %d op %s: live count %d, counters %d",
-					r, op.Op, op.Count, want.OpCount[op.Op])
-			}
-		}
+	if err := LintMetrics(got); err != nil {
+		t.Errorf("/metrics fails lint: %v", err)
 	}
-	if got := lm.PerRank[1].SimNow; got != 2 {
-		t.Errorf("rank 1 sim_now = %g, want 2 (last recorded sim end)", got)
+	var m Metrics
+	if err := json.Unmarshal(got, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.TotalMsgs != 2 || m.TotalBytes != 128 {
+		t.Errorf("totals = %d msgs / %d bytes, want 2 / 128", m.TotalMsgs, m.TotalBytes)
+	}
+	if got := m.PerRank[1].SimTotal; got != 2 {
+		t.Errorf("rank 1 sim_total_s = %g, want 2 (last recorded sim end)", got)
+	}
+
+	var h struct {
+		LastProgressNs int64 `json:"last_progress_ns"`
+	}
+	if err := json.Unmarshal(httpGet(t, srv, "/healthz"), &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.LastProgressNs == 0 {
+		t.Error("/healthz: no progress stamp after recording")
 	}
 }
 
 // TestServeLiveEndpoints hits /metrics and /healthz over real HTTP while
 // a writer goroutine is still recording: under -race this proves the
-// lock-free recorder and the snapshot reader never touch unsynchronized
-// state.
+// recorder's single-writer atomics are all the handlers read, and every
+// mid-run /metrics document must still pass LintMetrics.
 func TestServeLiveEndpoints(t *testing.T) {
 	tr := NewTrace(1)
 	srv, err := Serve("127.0.0.1:0", tr, ServerInfo{Rank: 0, World: 4, Device: "net/unix"})
@@ -80,20 +109,8 @@ func TestServeLiveEndpoints(t *testing.T) {
 		}
 	}()
 
-	get := func(path string) map[string]any {
+	decode := func(path string, body []byte) map[string]any {
 		t.Helper()
-		resp, err := http.Get(fmt.Sprintf("http://%s%s", srv.Addr(), path))
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: reading body: %v", path, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
-		}
 		var doc map[string]any
 		if err := json.Unmarshal(body, &doc); err != nil {
 			t.Fatalf("GET %s: invalid JSON: %v\n%s", path, err, body)
@@ -102,11 +119,15 @@ func TestServeLiveEndpoints(t *testing.T) {
 	}
 
 	for i := 0; i < 10; i++ {
-		m := get("/metrics")
+		body := httpGet(t, srv, "/metrics")
+		if err := LintMetrics(body); err != nil {
+			t.Fatalf("mid-run /metrics fails lint: %v\n%s", err, body)
+		}
+		m := decode("/metrics", body)
 		if m["ranks"].(float64) != 1 {
 			t.Fatalf("/metrics ranks = %v, want 1", m["ranks"])
 		}
-		h := get("/healthz")
+		h := decode("/healthz", httpGet(t, srv, "/healthz"))
 		if h["status"] != "ok" || h["rank"].(float64) != 0 || h["world"].(float64) != 4 {
 			t.Fatalf("/healthz = %v", h)
 		}

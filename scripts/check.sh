@@ -11,6 +11,14 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l (tracked Go files; testdata/ holds deliberately unparsable fixtures)"
+unformatted=$(git ls-files '*.go' | grep -Ev '(^|/)testdata/' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "check.sh: ERROR: gofmt would reformat these files:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "== go test -race ./..."
 go test -race ./...
 
