@@ -43,6 +43,7 @@ type Unit struct {
 	ownOnce  bool         // ownership dataflow ran (shared by two rules)
 	ownFinds []ownFinding // its raw findings, filtered per enabled rule
 
+	imp       *lenientImporter // shared by every unit of one Load
 	typesOnce bool
 	info      *types.Info
 	typesPkg  *types.Package
@@ -100,9 +101,10 @@ func Load(patterns []string) ([]*Unit, error) {
 	sort.Strings(dirs)
 
 	fset := token.NewFileSet()
+	imp := newLenientImporter(fset)
 	var units []*Unit
 	for _, dir := range dirs {
-		units = append(units, loadDir(fset, dir)...)
+		units = append(units, loadDir(fset, imp, dir)...)
 	}
 	return units, nil
 }
@@ -114,7 +116,7 @@ func Load(patterns []string) ([]*Unit, error) {
 // parsed remainder is analyzed normally, and the CLI maps the finding to
 // exit code 2 — so machine-readable modes always emit a document with
 // every finding the run did produce.
-func loadDir(fset *token.FileSet, dir string) []*Unit {
+func loadDir(fset *token.FileSet, imp *lenientImporter, dir string) []*Unit {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return []*Unit{{
@@ -122,6 +124,7 @@ func loadDir(fset *token.FileSet, dir string) []*Unit {
 			Rel:        filepath.ToSlash(filepath.Clean(dir)),
 			Name:       "(unreadable)",
 			Fset:       fset,
+			imp:        imp,
 			allowLines: map[string]map[int]map[string]bool{},
 			LoadErrs: []Finding{{
 				Pos:  token.Position{Filename: filepath.ToSlash(dir), Line: 1, Column: 1},
@@ -157,6 +160,7 @@ func loadDir(fset *token.FileSet, dir string) []*Unit {
 			Rel:        filepath.ToSlash(filepath.Clean(dir)),
 			Name:       name,
 			Fset:       fset,
+			imp:        imp,
 			Files:      byPkg[name],
 			allowLines: map[string]map[int]map[string]bool{},
 		}
@@ -172,6 +176,7 @@ func loadDir(fset *token.FileSet, dir string) []*Unit {
 				Rel:        filepath.ToSlash(filepath.Clean(dir)),
 				Name:       "(unparsed)",
 				Fset:       fset,
+				imp:        imp,
 				allowLines: map[string]map[int]map[string]bool{},
 			})
 		}

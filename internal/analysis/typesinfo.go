@@ -12,7 +12,9 @@ import (
 // which the stdlib importers cannot resolve without a build driver — to
 // empty placeholder packages. Rules that consult types must tolerate
 // missing info; the SPMD rules are deliberately name-based so they do not
-// depend on cross-package resolution.
+// depend on cross-package resolution. Load makes one per call and hands it
+// to every unit it returns, so a run type-checks each std package once and
+// the cache goes away with the units.
 type lenientImporter struct {
 	src      types.Importer
 	fallback map[string]*types.Package
@@ -51,10 +53,6 @@ func lastSlash(s string) int {
 	return -1
 }
 
-// sharedImporter caches source-imported std packages across units; all
-// units share one FileSet so this is safe.
-var sharedImporters = map[*token.FileSet]*lenientImporter{}
-
 // ensureTypes runs go/types over the unit with every error tolerated.
 // Partial information is expected: expressions whose types could not be
 // resolved simply have no entry in info.Types.
@@ -63,13 +61,8 @@ func (u *Unit) ensureTypes() {
 		return
 	}
 	u.typesOnce = true
-	imp := sharedImporters[u.Fset]
-	if imp == nil {
-		imp = newLenientImporter(u.Fset)
-		sharedImporters[u.Fset] = imp
-	}
 	conf := types.Config{
-		Importer:         imp,
+		Importer:         u.imp,
 		Error:            func(error) {}, // collect nothing; partial info is fine
 		IgnoreFuncBodies: false,
 		FakeImportC:      true,

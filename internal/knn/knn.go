@@ -304,10 +304,14 @@ func MapReduce(world *cluster.World, db *dataio.Dataset, queries [][]float64, k 
 		Map: func(shard dbShard, emit func(int, []Candidate)) {
 			if !useCombiner {
 				// The per-point baseline the combiner experiment
-				// compares against: every candidate crosses the wire.
+				// compares against: every candidate crosses the wire,
+				// each as a capped one-element window of its query's
+				// candidate array.
 				for qi, q := range queries {
+					cands := make([]Candidate, len(shard.Points))
 					for i, p := range shard.Points {
-						emit(qi, []Candidate{{linalg.SqDist(q, p), shard.Labels[i]}})
+						cands[i] = Candidate{linalg.SqDist(q, p), shard.Labels[i]}
+						emit(qi, cands[i:i+1:i+1])
 					}
 				}
 				return

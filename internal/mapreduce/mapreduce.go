@@ -48,13 +48,29 @@ func RegisterWireTypes[K comparable, V, R any]() {
 	)
 }
 
-// bucket holds one destination rank's emissions: the values per key plus
-// the keys in first-emission order. The exchange serializes pairs in that
-// recorded order — never in map iteration order, which Go randomizes per
-// run and which would otherwise leak into the wire payload.
-type bucket[K comparable, V any] struct {
-	vals  map[K][]V
-	order []K
+// keyGroups holds one destination rank's emissions per key, for a job
+// with a combiner: one value slice per key, keys in first-emission order.
+// The exchange serializes pairs in that recorded order, never in map
+// iteration order, which Go randomizes per run and which would otherwise
+// leak into the wire payload.
+type keyGroups[K comparable, V any] struct {
+	index map[K]int // key -> its position in keys and vals
+	keys  []K
+	vals  [][]V
+}
+
+func (g *keyGroups[K, V]) add(k K, v V) {
+	i, seen := g.index[k]
+	if !seen {
+		if g.index == nil {
+			g.index = make(map[K]int)
+		}
+		i = len(g.keys)
+		g.index[k] = i
+		g.keys = append(g.keys, k)
+		g.vals = append(g.vals, nil)
+	}
+	g.vals[i] = append(g.vals[i], v)
 }
 
 // Job describes a MapReduce computation over inputs of type I, emitting
@@ -88,23 +104,27 @@ func (j *Job[I, K, V, R]) Run(c *cluster.Comm, inputs []I) map[K]R {
 	size := c.Size()
 	rec := c.Obs()
 
-	// Map phase: bucket emissions by destination rank.
+	// Map phase: route each emission to the rank its key hashes to.
+	// Without a combiner the pair goes straight into that rank's batch, in
+	// emission order; with one, values are grouped per key as they arrive,
+	// because Combine needs each key's values together.
 	mapWall := rec.Now()
 	mapSim := c.Clock()
-	buckets := make([]bucket[K, V], size)
-	for r := range buckets {
-		buckets[r].vals = make(map[K][]V)
-	}
+	parts := make([]batch[K, V], size)
+	var groups []keyGroups[K, V]
 	var emitted int64
 	emit := func(k K, v V) {
 		dst := int(hashKey(k) % uint64(size))
-		b := &buckets[dst]
-		vs, seen := b.vals[k]
-		if !seen {
-			b.order = append(b.order, k)
-		}
-		b.vals[k] = append(vs, v)
+		parts[dst].Pairs = append(parts[dst].Pairs, Pair[K, V]{k, v})
 		emitted++
+	}
+	if j.Combine != nil {
+		groups = make([]keyGroups[K, V], size)
+		emit = func(k K, v V) {
+			dst := int(hashKey(k) % uint64(size))
+			groups[dst].add(k, v)
+			emitted++
+		}
 	}
 	for _, in := range inputs {
 		j.Map(in, emit)
@@ -112,75 +132,108 @@ func (j *Job[I, K, V, R]) Run(c *cluster.Comm, inputs []I) map[K]R {
 	rec.PhaseSpan("mr.map", mapSim, c.Clock(), mapWall,
 		obs.KV{K: "inputs", V: int64(len(inputs))}, obs.KV{K: "pairs", V: emitted})
 
-	// Optional combine phase: fold each key's local values to one,
-	// reusing each value slice's backing array for the folded result.
+	// Optional combine phase: fold each key's local values to one pair,
+	// keys in first-emission order. A key emitted once is sent as is.
 	if j.Combine != nil {
 		combWall := rec.Now()
 		combSim := c.Clock()
 		var kept int64
-		for i := range buckets {
-			b := &buckets[i]
-			for _, k := range b.order {
-				if vs := b.vals[k]; len(vs) > 1 {
-					cv := j.Combine(k, vs)
-					b.vals[k] = append(vs[:0], cv)
+		for r := range groups {
+			g := &groups[r]
+			ps := make([]Pair[K, V], len(g.keys))
+			for i, k := range g.keys {
+				v := g.vals[i][0]
+				if len(g.vals[i]) > 1 {
+					v = j.Combine(k, g.vals[i])
 				}
+				ps[i] = Pair[K, V]{k, v}
 			}
-			// Post-combine every key holds exactly one value.
-			kept += int64(len(b.order))
+			parts[r].Pairs = ps
+			kept += int64(len(ps))
 		}
 		rec.PhaseSpan("mr.combine", combSim, c.Clock(), combWall,
 			obs.KV{K: "pairs_in", V: emitted}, obs.KV{K: "pairs_out", V: kept})
 	}
 
 	// Aggregate phase: total exchange of pair batches.
-	parts := make([]batch[K, V], size)
-	for r := range buckets {
-		b := &buckets[r]
-		n := 0
-		for _, vs := range b.vals {
-			n += len(vs)
-		}
-		ps := make([]Pair[K, V], 0, n)
-		for _, k := range b.order {
-			for _, v := range b.vals[k] {
-				ps = append(ps, Pair[K, V]{k, v})
-			}
-		}
-		parts[r] = batch[K, V]{Pairs: ps, PairBytes: pairBytes}
+	for r := range parts {
+		parts[r].PairBytes = pairBytes
 	}
 	incoming := cluster.Alltoall(c, parts)
 
 	// Collate phase: group received pairs by key.
 	collWall := rec.Now()
 	collSim := c.Clock()
-	nIn := 0
-	for _, bt := range incoming {
-		nIn += len(bt.Pairs)
-	}
-	grouped := make(map[K][]V, nIn)
-	for _, bt := range incoming {
-		for _, p := range bt.Pairs {
-			grouped[p.Key] = append(grouped[p.Key], p.Value)
-		}
-	}
+	keys, starts, vals := collate(incoming)
+	nIn := len(vals)
 	rec.PhaseSpan("mr.collate", collSim, c.Clock(), collWall,
-		obs.KV{K: "pairs", V: int64(nIn)}, obs.KV{K: "keys", V: int64(len(grouped))})
+		obs.KV{K: "pairs", V: int64(nIn)}, obs.KV{K: "keys", V: int64(len(keys))})
 	// Per-reducer skew marker: this rank's share of the shuffled keys and
 	// bytes, the quantity whose max/mean over ranks is the shuffle skew.
 	rec.Instant("mr.skew", -1, 0, int64(nIn*pairBytes), c.Clock(),
-		obs.KV{K: "keys", V: int64(len(grouped))}, obs.KV{K: "pairs", V: int64(nIn)})
+		obs.KV{K: "keys", V: int64(len(keys))}, obs.KV{K: "pairs", V: int64(nIn)})
 
-	// Reduce phase.
+	// Reduce phase, keys in order of first appearance. Each key's group is
+	// capped at its length, so an append inside Reduce reallocates instead
+	// of overwriting the next key's values.
 	redWall := rec.Now()
 	redSim := c.Clock()
-	out := make(map[K]R, len(grouped))
-	for k, vs := range grouped {
-		out[k] = j.Reduce(k, vs)
+	out := make(map[K]R, len(keys))
+	for i, k := range keys {
+		lo, hi := starts[i], starts[i+1]
+		out[k] = j.Reduce(k, vals[lo:hi:hi])
 	}
 	rec.PhaseSpan("mr.reduce", redSim, c.Clock(), redWall,
-		obs.KV{K: "keys", V: int64(len(grouped))})
+		obs.KV{K: "keys", V: int64(len(keys))})
 	return out
+}
+
+// collate groups the received pairs by key with a counting sort into one
+// array. Keys are numbered in order of first appearance, taking the
+// batches in source-rank order, and key i's values are
+// vals[starts[i]:starts[i+1]], by source rank and then in batch order.
+func collate[K comparable, V any](batches []batch[K, V]) (keys []K, starts []int, vals []V) {
+	n := 0
+	for _, b := range batches {
+		n += len(b.Pairs)
+	}
+	// First pass: number the keys and count the pairs per key, recording
+	// each pair's key number.
+	index := make(map[K]int)
+	keyOf := make([]int, n)
+	var counts []int
+	i := 0
+	for _, b := range batches {
+		for _, p := range b.Pairs {
+			ki, seen := index[p.Key]
+			if !seen {
+				ki = len(keys)
+				index[p.Key] = ki
+				keys = append(keys, p.Key)
+				counts = append(counts, 0)
+			}
+			counts[ki]++
+			keyOf[i] = ki
+			i++
+		}
+	}
+	// Second pass: place each value at its key's next free slot.
+	starts = make([]int, len(keys)+1)
+	for ki, cnt := range counts {
+		starts[ki+1] = starts[ki] + cnt
+	}
+	next := counts // reused: each key's next free slot
+	copy(next, starts)
+	vals = make([]V, n)
+	i = 0
+	for _, b := range batches {
+		for _, p := range b.Pairs {
+			vals[next[keyOf[i]]] = p.Value
+			next[keyOf[i]]++
+			i++
+		}
+	}
+	return keys, starts, vals
 }
 
 // RunToRoot runs the job and gathers every rank's reduced results onto

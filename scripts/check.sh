@@ -54,12 +54,13 @@ echo "== multi-process launch smoke (net device, P=4)"
 mkdir -p out
 go build -o out/peachy ./cmd/peachy
 go build -o out/kmeans ./cmd/kmeans
-# canonical() keeps the result line and strips the wall-clock field, the
-# only part allowed to differ between an in-process and a launched run.
-canonical() { grep '^n=' | sed -E 's/ [0-9.]+s,//'; }
-out/kmeans -distributed -ranks 4 -n 5000 -k 4 | canonical >out/launch_inproc.txt
+# canonical PATTERN keeps the result line PATTERN matches and strips the
+# wall-clock field, the only part allowed to differ between an in-process
+# and a launched run.
+canonical() { grep "$1" | sed -E 's/ [0-9.]+s,//'; }
+out/kmeans -distributed -ranks 4 -n 5000 -k 4 | canonical '^n=' >out/launch_inproc.txt
 out/peachy launch -np 4 out/kmeans -distributed -ranks 4 -n 5000 -k 4 \
-	-trace out/launch_trace.json -metrics out/launch_metrics.json | canonical >out/launch_multi.txt
+	-trace out/launch_trace.json -metrics out/launch_metrics.json | canonical '^n=' >out/launch_multi.txt
 if ! diff out/launch_inproc.txt out/launch_multi.txt; then
 	echo "check.sh: ERROR: launched world diverged from the in-process run" >&2
 	exit 1
@@ -70,6 +71,20 @@ out/peachy obs-lint \
 	out/launch_metrics.json.rank0 out/launch_metrics.json.rank1 \
 	out/launch_metrics.json.rank2 out/launch_metrics.json.rank3
 cat out/launch_multi.txt
+
+echo "== multi-process launch smoke: MapReduce kNN without a combiner (net device, P=4)"
+# Every candidate crosses the shuffle. 16 classes in 2 dimensions overlap,
+# so accuracy is 0.8933 rather than the default data set's 1.0000 and a
+# wrong shuffle changes the result line.
+go build -o out/knn ./cmd/knn
+knn_args=(-variant mapreduce -combiner=false -ranks 4 -n 2000 -q 300 -d 2 -classes 16)
+out/knn "${knn_args[@]}" | canonical '^variant=' >out/launch_knn_inproc.txt
+out/peachy launch -np 4 out/knn "${knn_args[@]}" | canonical '^variant=' >out/launch_knn_multi.txt
+if ! diff out/launch_knn_inproc.txt out/launch_knn_multi.txt; then
+	echo "check.sh: ERROR: launched MapReduce kNN diverged from the in-process run" >&2
+	exit 1
+fi
+cat out/launch_knn_multi.txt
 
 echo "== cross-rank artifact merge (obs-merge, byte-identical across runs)"
 # Merging the per-rank artifacts (cross-checked by the merged lint) must
