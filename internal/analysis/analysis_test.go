@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,7 +101,9 @@ func TestRulesAgainstFixtures(t *testing.T) {
 }
 
 // TestRepositoryIsClean is the self-test: the real repo must come up
-// clean under every rule (fixtures are under testdata and skipped).
+// clean under every rule (fixtures are under testdata and skipped). It
+// also checks that each package is type-checked once: every repro/...
+// import resolves to the *types.Package of the unit the run loaded.
 func TestRepositoryIsClean(t *testing.T) {
 	units, err := Load([]string{"../../..."})
 	if err != nil {
@@ -113,6 +116,30 @@ func TestRepositoryIsClean(t *testing.T) {
 		for _, f := range Analyze(u, DefaultConfig()) {
 			t.Errorf("repo not clean: %s", f)
 		}
+	}
+	loaded := map[string]*types.Package{}
+	for _, u := range units {
+		if u.typesPkg != nil {
+			loaded[u.typesPkg.Path()] = u.typesPkg
+		}
+	}
+	resolved := 0
+	for _, u := range units {
+		if u.typesPkg == nil {
+			continue
+		}
+		for _, imp := range u.typesPkg.Imports() {
+			if imp.Path() != "repro" && !strings.HasPrefix(imp.Path(), "repro/") {
+				continue
+			}
+			resolved++
+			if imp != loaded[imp.Path()] {
+				t.Errorf("%s imports a second copy of %s, not the package of the unit this run loaded", u.Dir, imp.Path())
+			}
+		}
+	}
+	if resolved == 0 {
+		t.Error("no unit imports a repro/... package — import resolution is broken")
 	}
 }
 

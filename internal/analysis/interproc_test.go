@@ -290,21 +290,3 @@ func TestSARIFOutput(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkLoadAnalyzeRepo measures a full load+analyze pass over the
-// repository — the cost the tier-1 gate pays on every run.
-func BenchmarkLoadAnalyzeRepo(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		units, err := Load([]string{"../../..."})
-		if err != nil {
-			b.Fatal(err)
-		}
-		total := 0
-		for _, u := range units {
-			total += len(Analyze(u, DefaultConfig()))
-		}
-		if total != 0 {
-			b.Fatalf("repo not clean: %d findings", total)
-		}
-	}
-}

@@ -44,6 +44,7 @@ type Unit struct {
 	ownFinds []ownFinding // its raw findings, filtered per enabled rule
 
 	imp       *lenientImporter // shared by every unit of one Load
+	path      string           // import path: Rel outside a module
 	typesOnce bool
 	info      *types.Info
 	typesPkg  *types.Package
@@ -100,11 +101,14 @@ func Load(patterns []string) ([]*Unit, error) {
 	}
 	sort.Strings(dirs)
 
-	fset := token.NewFileSet()
-	imp := newLenientImporter(fset)
+	imp := newLenientImporter(token.NewFileSet())
 	var units []*Unit
 	for _, dir := range dirs {
-		units = append(units, loadDir(fset, imp, dir)...)
+		dirUnits, mod := imp.load(dir)
+		if mod.path != "" {
+			imp.modules[mod.path] = mod.root
+		}
+		units = append(units, dirUnits...)
 	}
 	return units, nil
 }

@@ -2,12 +2,132 @@ package analysis
 
 import (
 	"bytes"
+	"fmt"
+	"go/build"
 	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+// crossmodDir is a fixture module of its own (module crossmod). Its app
+// package sends a wire-unsafe payload type declared in crossmod/wire, and
+// its cycle/a and cycle/b packages import each other.
+var crossmodDir = filepath.Join("testdata", "src", "crossmod")
+
+// TestCrossModuleImports pins how module-local imports resolve: to the
+// package the run loaded, whether or not the patterns named its
+// directory, and the same way whatever GO111MODULE says.
+func TestCrossModuleImports(t *testing.T) {
+	app := filepath.Join(crossmodDir, "app")
+	absApp, err := filepath.Abs(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wantMarkers(t, app, "wiresafe")
+	var first []string
+	for _, env := range []string{"", "off", "on"} {
+		if env != "" {
+			t.Setenv("GO111MODULE", env)
+		}
+		for _, pattern := range []string{crossmodDir + "/...", app, absApp} {
+			units, err := Load([]string{pattern})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, u := range units {
+				for _, f := range Analyze(u, DefaultConfig()) {
+					got = append(got, fmt.Sprintf("%s:%d: [%s] %s", filepath.Base(f.Pos.Filename), f.Pos.Line, f.Rule, f.Msg))
+				}
+			}
+			if len(got) != 1 || !want[strings.SplitN(got[0], ": ", 2)[0]] ||
+				!strings.Contains(got[0], "[wiresafe] payload of Send has wire-unsafe type crossmod/wire.Msg") {
+				t.Errorf("GO111MODULE=%q, Load(%s): want one wiresafe finding on the WANT line naming crossmod/wire.Msg, got %q", env, pattern, got)
+			}
+			if first == nil {
+				first = got
+			} else if !slices.Equal(got, first) {
+				t.Errorf("GO111MODULE=%q, Load(%s) = %q, want %q", env, pattern, got, first)
+			}
+		}
+	}
+}
+
+// recordingImporter notes every path it is asked for.
+type recordingImporter struct {
+	types.Importer
+	paths []string
+}
+
+func (r *recordingImporter) Import(path string) (*types.Package, error) {
+	r.paths = append(r.paths, path)
+	return r.Importer.Import(path)
+}
+
+// TestSourceImporterSeesOnlyStd checks that no path outside the standard
+// library reaches the source importer, where go/build would run `go list`
+// for it: module-local imports resolve to loaded units, and a path no
+// go.mod or GOROOT provides becomes a placeholder.
+func TestSourceImporterSeesOnlyStd(t *testing.T) {
+	units, err := Load([]string{crossmodDir + "/...", fixtureDir("wiresafe"), fixtureDir("nondet")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingImporter{Importer: units[0].imp.src}
+	units[0].imp.src = rec
+	for _, u := range units {
+		Analyze(u, DefaultConfig())
+	}
+	if len(rec.paths) == 0 {
+		t.Fatal("the source importer was never asked, not even for the fixtures' std imports")
+	}
+	for _, path := range rec.paths {
+		if fi, err := os.Stat(filepath.Join(build.Default.GOROOT, "src", path)); err != nil || !fi.IsDir() {
+			t.Errorf("source importer asked for %q, which names no directory under $GOROOT/src", path)
+		}
+	}
+}
+
+// TestImportCycleTerminates loads two packages that import each other.
+// The analysis ends; the import that closes the cycle gets a placeholder
+// and the other resolves to the loaded package.
+func TestImportCycleTerminates(t *testing.T) {
+	units, err := Load([]string{filepath.Join(crossmodDir, "cycle", "...")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) != 2 {
+		t.Fatalf("expected units a and b, got %d", len(units))
+	}
+	for _, u := range units {
+		for _, f := range Analyze(u, DefaultConfig()) {
+			t.Errorf("unexpected finding: %s", f)
+		}
+	}
+	a, b := units[0].typesPkg, units[1].typesPkg
+	imported := func(pkg *types.Package, path string) *types.Package {
+		for _, imp := range pkg.Imports() {
+			if imp.Path() == path {
+				return imp
+			}
+		}
+		t.Fatalf("%s does not import %s", pkg.Path(), path)
+		return nil
+	}
+	if got := imported(a, "crossmod/cycle/b"); got != b {
+		t.Error("a's import of b is not the loaded b")
+	}
+	if got := imported(b, "crossmod/cycle/a"); got == a || got.Scope().Len() != 0 {
+		t.Error("b's import of a, which closes the cycle, is not an empty placeholder")
+	}
+}
 
 // TestLoadReleasesItsFileSet checks that nothing outlives a run: once the
 // units of a finished Load are dropped, its FileSet, and with it the

@@ -2,55 +2,167 @@ package analysis
 
 import (
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/token"
 	"go/types"
+	"os"
+	pathpkg "path"
+	"path/filepath"
+	"strings"
 )
 
-// lenientImporter resolves std-library imports from source (so sync.Mutex
-// et al. carry real type information) and degrades module-local imports —
-// which the stdlib importers cannot resolve without a build driver — to
-// empty placeholder packages. Rules that consult types must tolerate
-// missing info; the SPMD rules are deliberately name-based so they do not
-// depend on cross-package resolution. Load makes one per call and hands it
-// to every unit it returns, so a run type-checks each std package once and
-// the cache goes away with the units.
+// lenientImporter resolves the imports of one Load without starting the
+// go command, so each package of a run is type-checked exactly once:
+//
+//   - A module is the go.mod nearest above a loaded directory. An import
+//     path equal to a module's path, or below it, names the matching
+//     directory under that module's root, and that directory's non-_test
+//     unit is the package: the same *types.Package the unit's own
+//     analysis uses, checked by ensureTypes under its import path. A
+//     directory the patterns left out is parsed the first time something
+//     imports it; it is type-checked but not analyzed.
+//   - A path naming a directory under $GOROOT/src is type-checked from
+//     source, so sync.Mutex et al. carry real type information. go/build
+//     runs `go list` for any other path, so no other path reaches it.
+//   - Everything else is an empty, complete placeholder package, and so
+//     is a unit whose check is still running (an import cycle in broken
+//     code). Rules that consult types must tolerate missing info.
+//
+// Load makes one per call and hands it to every unit it returns, so a
+// run type-checks each std package once and the cache goes away with the
+// units.
 type lenientImporter struct {
+	fset     *token.FileSet
 	src      types.Importer
+	wd       string             // working directory, to make loaded directories absolute
+	stdRoot  string             // $GOROOT/src, "" when GOROOT is unknown
+	modules  map[string]string  // module path -> root, for every loaded directory's go.mod
+	near     map[string]module  // directory -> the module of the go.mod nearest above it
+	units    map[string][]*Unit // absolute directory -> its units, loaded or imported
 	fallback map[string]*types.Package
 }
 
+// module is one go.mod: the path it declares and the directory holding it.
+type module struct{ path, root string }
+
 func newLenientImporter(fset *token.FileSet) *lenientImporter {
-	return &lenientImporter{
+	li := &lenientImporter{
+		fset:     fset,
 		src:      importer.ForCompiler(fset, "source", nil),
+		modules:  map[string]string{},
+		near:     map[string]module{},
+		units:    map[string][]*Unit{},
 		fallback: map[string]*types.Package{},
 	}
+	li.wd, _ = os.Getwd() // fails only when the directory is gone, and relative loads with it
+	if build.Default.GOROOT != "" {
+		li.stdRoot = filepath.Join(build.Default.GOROOT, "src")
+	}
+	return li
+}
+
+// load parses dir once per run and returns its units with their import
+// paths set, along with the directory's module.
+func (li *lenientImporter) load(dir string) ([]*Unit, module) {
+	abs := dir
+	if !filepath.IsAbs(abs) {
+		abs = filepath.Join(li.wd, dir)
+	}
+	mod := li.moduleAbove(abs)
+	if units, ok := li.units[abs]; ok {
+		return units, mod
+	}
+	units := loadDir(li.fset, li, dir)
+	for _, u := range units {
+		u.path = u.Rel
+		if mod.path != "" {
+			u.path = mod.path
+			if rel, _ := filepath.Rel(mod.root, abs); rel != "." {
+				u.path += "/" + filepath.ToSlash(rel)
+			}
+		}
+		if strings.HasSuffix(u.Name, "_test") {
+			u.path += "_test" // an external test package, as the go tool names it
+		}
+	}
+	li.units[abs] = units
+	return units, mod
+}
+
+// moduleAbove returns the module of the go.mod nearest above dir, and
+// remembers it for dir and every directory it passed on the way up, so
+// sibling directories cost one lookup each. The zero module means there
+// is none, or it declares no module path.
+func (li *lenientImporter) moduleAbove(dir string) module {
+	if mod, ok := li.near[dir]; ok {
+		return mod
+	}
+	var mod module
+	if data, err := os.ReadFile(filepath.Join(dir, "go.mod")); err == nil {
+		mod = module{path: modulePath(data), root: dir}
+	} else if parent := filepath.Dir(dir); parent != dir {
+		mod = li.moduleAbove(parent)
+	}
+	li.near[dir] = mod
+	return mod
+}
+
+// modulePath returns the path a go.mod's module directive declares.
+func modulePath(gomod []byte) string {
+	for _, line := range strings.Split(string(gomod), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == "module" {
+			return strings.Trim(f[1], "\"`")
+		}
+	}
+	return ""
 }
 
 func (li *lenientImporter) Import(path string) (*types.Package, error) {
-	if pkg, err := li.src.Import(path); err == nil {
-		return pkg, nil
+	if path != pathpkg.Clean(path) || build.IsLocalImport(path) || pathpkg.IsAbs(path) {
+		return li.placeholder(path), nil // not a path a go.mod or GOROOT resolves
 	}
-	if pkg, ok := li.fallback[path]; ok {
-		return pkg, nil
-	}
-	name := path
-	if i := lastSlash(path); i >= 0 {
-		name = path[i+1:]
-	}
-	pkg := types.NewPackage(path, name)
-	pkg.MarkComplete()
-	li.fallback[path] = pkg
-	return pkg, nil
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
+	if dir, ok := li.moduleDir(path); ok {
+		units, _ := li.load(dir)
+		for _, u := range units {
+			if len(u.Files) == 0 || strings.HasSuffix(u.Name, "_test") {
+				continue
+			}
+			if u.typesOnce && u.typesPkg == nil {
+				break // still being checked: an import cycle
+			}
+			u.ensureTypes()
+			return u.typesPkg, nil
+		}
+	} else if li.stdRoot != "" {
+		if fi, err := os.Stat(filepath.Join(li.stdRoot, filepath.FromSlash(path))); err == nil && fi.IsDir() {
+			if pkg, err := li.src.Import(path); err == nil {
+				return pkg, nil
+			}
 		}
 	}
-	return -1
+	return li.placeholder(path), nil
+}
+
+// moduleDir maps an import path to its directory under the root of the
+// longest module path that equals it or is a prefix of it.
+func (li *lenientImporter) moduleDir(path string) (string, bool) {
+	for prefix := path; prefix != "."; prefix = pathpkg.Dir(prefix) {
+		if root, ok := li.modules[prefix]; ok {
+			return filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(path, prefix))), true
+		}
+	}
+	return "", false
+}
+
+func (li *lenientImporter) placeholder(path string) *types.Package {
+	if pkg, ok := li.fallback[path]; ok {
+		return pkg
+	}
+	pkg := types.NewPackage(path, pathpkg.Base(path))
+	pkg.MarkComplete()
+	li.fallback[path] = pkg
+	return pkg
 }
 
 // ensureTypes runs go/types over the unit with every error tolerated.
@@ -73,7 +185,7 @@ func (u *Unit) ensureTypes() {
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	pkg, _ := conf.Check(u.Rel, u.Fset, u.Files, info) // errors intentionally ignored
+	pkg, _ := conf.Check(u.path, u.Fset, u.Files, info) // errors intentionally ignored
 	u.info = info
 	u.typesPkg = pkg
 }

@@ -338,20 +338,24 @@ func isConnError(err error) bool {
 
 // readLoop decodes frames from one peer into the local mailbox. On
 // connection close/reset it marks the peer down so a blocked receive
-// fails with a dead-peer diagnosis instead of timing out. Each delivered
-// message is stamped with its wire size and gob decode time (socket wait
-// excluded — the frame is fully buffered before the decode is timed);
-// the rank's goroutine folds the stamps into the recorder in recvRaw,
-// keeping the recorder single-writer.
+// fails with a dead-peer diagnosis instead of timing out. A frame whose
+// body does not decode also ends the stream, since the decoder cannot
+// resynchronize, but it is diagnosed as the payload's fault: the peer
+// process is still alive. Each delivered message is stamped with its
+// wire size and gob decode time (socket wait excluded — the frame is
+// fully buffered before the decode is timed); the rank's goroutine folds
+// the stamps into the recorder in recvRaw, keeping the recorder
+// single-writer.
 func (d *netDevice) readLoop(peer int, conn net.Conn) {
 	fr := &frameReader{r: bufio.NewReader(conn)}
 	dec := gob.NewDecoder(fr)
 	for {
 		fr.frameB = 0
 		err := fr.fetch()
+		decoding := err == nil
 		var decNs int64
 		var wm wireMsg
-		if err == nil {
+		if decoding {
 			start := time.Now()
 			err = dec.Decode(&wm)
 			decNs = time.Since(start).Nanoseconds()
@@ -360,16 +364,21 @@ func (d *netDevice) readLoop(peer int, conn net.Conn) {
 			if d.closing.Load() {
 				return // normal shutdown, not a dead peer
 			}
-			desc := "connection reset: " + err.Error()
+			reason, dead := fmt.Errorf("connection reset: %w", err), true
 			switch {
 			case errors.Is(err, errFrameTooLarge):
-				desc = err.Error()
+				reason = err
 			case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
-				desc = "connection closed"
+				reason = errors.New("connection closed")
+			case decoding && !isConnError(err):
+				reason, dead = fmt.Errorf("%w: %w", errUndecodable, err), false
 			}
-			s := desc
+			s := reason.Error()
+			if dead {
+				s += " — the process exited or crashed"
+			}
 			d.state[peer].Store(&s)
-			d.box.markPeerDown(peer, fmt.Errorf("rank %d: %s", peer, desc))
+			d.box.markPeerDown(peer, fmt.Errorf("rank %d: %w", peer, reason))
 			return
 		}
 		var payload any = wm.Payload
@@ -400,7 +409,7 @@ func (d *netDevice) peerInfo(rank int) string {
 	if *s == "open" {
 		return "remote rank (connection open; its mailbox state is not visible from this process)"
 	}
-	return "remote rank: " + *s + " — the process exited or crashed"
+	return "remote rank: " + *s
 }
 
 func (d *netDevice) name() string { return "net/" + d.network }
@@ -430,6 +439,10 @@ const maxFrame = 256 << 20
 
 // errFrameTooLarge marks a frame over maxFrame, read or written.
 var errFrameTooLarge = errors.New("frame too large")
+
+// errUndecodable marks a peer that sent a frame whose body does not
+// decode. The peer process is alive, but the stream from it is unusable.
+var errUndecodable = errors.New("sent a frame that does not decode")
 
 // frameWriter frames each gob-encoded message with a 4-byte big-endian
 // length prefix. The encoder is persistent per connection, so gob type

@@ -379,6 +379,41 @@ func TestNetWorldOversizedFrameDiagnosis(t *testing.T) {
 	}
 }
 
+// TestNetWorldUndecodableFrameDiagnosis: a well-formed frame whose body
+// gob cannot decode marks the peer down with a decode failure. Neither
+// the receive's error nor the peer's link state calls it a connection
+// reset or a dead process.
+func TestNetWorldUndecodableFrameDiagnosis(t *testing.T) {
+	errs, worlds := runNetWorld(t, "unix", netAddrs(t, 2), DefaultOptions(), func(c *Comm) {
+		if c.Rank() == 1 {
+			conn := c.world.dev.(*netDevice).conns[0]
+			if _, err := conn.Write([]byte("\x00\x00\x00\x02\x01\x00")); err != nil {
+				panic(err)
+			}
+			return
+		}
+		Recv[int](c, 1, 1)
+	})
+	if errs[1] != nil {
+		t.Fatalf("rank 1: %v", errs[1])
+	}
+	err := errs[0]
+	if err == nil {
+		t.Fatal("rank 0 accepted a frame that does not decode")
+	}
+	if !strings.Contains(err.Error(), "rank 1: sent a frame that does not decode: gob") {
+		t.Errorf("diagnosis does not name rank 1's undecodable frame:\n%s", err)
+	}
+	for _, wrong := range []string{"connection reset", "exited or crashed"} {
+		if strings.Contains(err.Error(), wrong) {
+			t.Errorf("undecodable frame diagnosed with %q:\n%s", wrong, err)
+		}
+	}
+	if info := worlds[0].dev.peerInfo(1); strings.Contains(info, "exited or crashed") {
+		t.Errorf("peer info calls a peer that sent a bad frame dead: %s", info)
+	}
+}
+
 // TestEnvNetConfig checks the PEACHY_* environment contract parser.
 func TestEnvNetConfig(t *testing.T) {
 	t.Run("roundtrip", func(t *testing.T) {

@@ -136,12 +136,18 @@ func callerSite() string {
 // device a dead peer looks exactly like a deadlocked one (a receive that
 // never completes), so the runtime distinguishes them explicitly: a
 // closed/reset connection is reported as a crashed or exited process, not
-// as a suspected communication cycle.
+// as a suspected communication cycle, and an undecodable frame as a
+// payload the live peer sent, not as either.
 func (w *World) deadPeerError(rank, src, tag int, cause error) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cluster: rank %d: peer unreachable while waiting for src=%d tag=%d: %v", rank, src, tag, cause)
-	b.WriteString("\n  this is a dead peer (its process exited or crashed), not a deadlock cycle;")
-	b.WriteString("\n  check that rank's own output/exit status for the root cause")
+	if errors.Is(cause, errUndecodable) {
+		b.WriteString("\n  the peer is alive but its stream cannot be decoded;")
+		b.WriteString("\n  check that every rank runs the same build and registers the same payload types (RegisterWire)")
+	} else {
+		b.WriteString("\n  this is a dead peer (its process exited or crashed), not a deadlock cycle;")
+		b.WriteString("\n  check that rank's own output/exit status for the root cause")
+	}
 	if down := w.downPeers(); len(down) > 0 {
 		fmt.Fprintf(&b, "\n  unreachable ranks: %s", strings.Join(down, ", "))
 	}

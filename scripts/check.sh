@@ -25,23 +25,21 @@ go test -race ./...
 echo "== bench harness tests (bench/ is its own module, so ./... skips it)"
 (cd bench && go test ./...)
 
-echo "== peachyvet ./..."
-go run ./cmd/peachyvet ./...
-
-echo "== peachyvet self-test (examples/ and cmd/ stay clean)"
-go run ./cmd/peachyvet -q ./examples/... ./cmd/...
+echo "== peachyvet ./... (examples/ and cmd/ included)"
+mkdir -p out
+go build -o out/peachyvet ./cmd/peachyvet
+out/peachyvet ./...
 
 echo "== peachyvet -json artifact"
-mkdir -p out
-go run ./cmd/peachyvet -json ./... > out/peachyvet.json
+out/peachyvet -json ./... > out/peachyvet.json
 echo "wrote out/peachyvet.json"
 
 echo "== peachyvet -sarif artifact"
-go run ./cmd/peachyvet -sarif ./... > out/peachyvet.sarif
+out/peachyvet -sarif ./... > out/peachyvet.sarif
 echo "wrote out/peachyvet.sarif"
 
 echo "== peachyvet -stats artifact"
-go run ./cmd/peachyvet -stats ./... > out/peachyvet-stats.json
+out/peachyvet -stats ./... > out/peachyvet-stats.json
 echo "wrote out/peachyvet-stats.json"
 
 echo "== observability smoke (trace + metrics + obs-lint)"
@@ -98,9 +96,6 @@ fi
 rm -f out/launch_trace_merged2.json
 out/peachy obs-merge -o out/launch_metrics_merged.json 'out/launch_metrics.json.rank*'
 out/peachy obs-lint out/launch_trace_merged.json out/launch_metrics_merged.json
-
-echo "== analyzer micro-benchmark (one pass)"
-go test -run '^$' -bench BenchmarkLoadAnalyzeRepo -benchtime 1x ./internal/analysis
 
 echo "== bench harness smoke (short mode)"
 scripts/bench.sh --short
