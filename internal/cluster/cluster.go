@@ -81,7 +81,7 @@ type message struct {
 	op, site string  // Verify mode: collective op + call site that produced this message
 	// Wire-level observability, stamped by the net device's reader: frame
 	// bytes on the wire (0 on the in-process device — also the "no wire"
-	// sentinel) and the gob decode wall time. finishRecv folds them into the
+	// sentinel) and the frame decode wall time. finishRecv folds them into the
 	// recorder's net.rx aggregate on the rank's own goroutine.
 	wireB int64
 	decNs int64
@@ -711,7 +711,7 @@ func (c *Comm) finishRecv(msg message, src int, simStart float64, wallStart int6
 		c.rec.Recv(msg.src, msg.tag, int64(msg.bytes), simStart, c.clock, wallStart)
 		if msg.wireB > 0 {
 			// Wire-level aggregate for messages that crossed a socket: frame
-			// bytes and gob decode time, stamped by the net device's reader
+			// bytes and frame decode time, stamped by the net device's reader
 			// goroutine, folded into the recorder here on the rank's own.
 			c.rec.WireSpan("net.rx", msg.wireB, msg.decNs)
 		}

@@ -11,7 +11,7 @@ package cluster
 //     space and deliver is a direct mailbox put. Zero-copy, deterministic,
 //     and byte-identical to the pre-Device runtime.
 //   - the net device (netdev.go): each rank is its own OS process and
-//     deliver encodes the message as a length-prefixed gob frame on a
+//     deliver encodes the message as a length-prefixed binary frame on a
 //     per-peer socket. Payloads must be wire-safe (gob-encodable and
 //     registered — peachyvet's wiresafe rule is the static gate).
 //

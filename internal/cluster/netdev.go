@@ -2,14 +2,15 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,7 +20,7 @@ import (
 )
 
 // This file is the network Device: each rank is its own OS process and
-// messages travel as length-prefixed gob frames over one stream socket
+// messages travel as length-prefixed binary frames over one stream socket
 // per rank pair (TCP or Unix domain), the MPJ Express "niodev" shape on
 // top of the same Send/Recv/collective API as the in-process device.
 //
@@ -31,11 +32,13 @@ import (
 // and worlds bigger than one address space.
 //
 // Wire safety: payloads cross a process boundary, so they must be
-// encodable — gob-encodable concrete types, registered on both sides via
-// RegisterWire (the common scalar/slice payload types are pre-registered
-// below). peachyvet's `wiresafe` rule is the static gate for exactly this
-// contract; a type it flags (channels, funcs, sync primitives, unexported
-// fields) will fail here at runtime with a named error.
+// encodable. []float64 and []byte travel as raw elements (see the frame
+// format below); every other payload must be a gob-encodable concrete
+// type, registered on both sides via RegisterWire (the common payload
+// types are pre-registered below). peachyvet's `wiresafe` rule is the
+// static gate for exactly this contract; a type it flags (channels,
+// funcs, sync primitives, unexported fields) will fail here at runtime
+// with a named error.
 
 // NetConfig describes one process's membership in a multi-process world.
 type NetConfig struct {
@@ -168,31 +171,11 @@ type netDevice struct {
 	box      *mailbox
 	listener net.Listener
 	conns    []net.Conn     // peer rank -> connection (nil at self)
-	writers  []*frameWriter // peer rank -> framed gob encoder
+	writers  []*frameWriter // peer rank -> frame encoder
 	state    []atomic.Pointer[string]
 	closing  atomic.Bool
 	closeMu  sync.Mutex
 }
-
-// wireMsg is the on-the-wire form of message. The receiver restamps the
-// local arrival seq, so seq does not travel.
-type wireMsg struct {
-	Src, Tag int
-	Bytes    int
-	Arrive   float64 // sender's simulated clock — keeps the cost model exact
-	Op, Site string  // Verify stamps
-	Kind     uint8
-	Payload  any
-}
-
-// Payload kinds: gob cannot encode nil or struct{} (no exported fields)
-// as interface values, and both are legitimate payloads (Barrier sends
-// struct{}{}), so they travel as a kind tag with no payload bytes.
-const (
-	payloadNil uint8 = iota
-	payloadEmpty
-	payloadValue
-)
 
 // connect establishes the full mesh. Each pair (i, j) with i < j gets
 // exactly one connection: j dials i's listener and sends a 4-byte rank
@@ -295,19 +278,9 @@ func (d *netDevice) deliver(dst int, msg message) {
 		d.box.put(msg)
 		return
 	}
-	wm := wireMsg{
-		Src: msg.src, Tag: msg.tag, Bytes: msg.bytes, Arrive: msg.arrive,
-		Op: msg.op, Site: msg.site, Kind: payloadValue, Payload: msg.payload,
-	}
-	switch msg.payload.(type) {
-	case nil:
-		wm.Kind, wm.Payload = payloadNil, nil
-	case struct{}:
-		wm.Kind, wm.Payload = payloadEmpty, nil
-	}
 	rec := d.world.comms[d.rank].rec // only the local rank delivers remotely
 	start := rec.Now()
-	frameB, err := d.writers[dst].writeMsg(&wm)
+	frameB, err := d.writers[dst].writeMsg(&msg)
 	if err != nil {
 		if isConnError(err) {
 			panic(fmt.Sprintf(
@@ -342,23 +315,19 @@ func isConnError(err error) bool {
 // body does not decode also ends the stream, since the decoder cannot
 // resynchronize, but it is diagnosed as the payload's fault: the peer
 // process is still alive. Each delivered message is stamped with its
-// wire size and gob decode time (socket wait excluded — the frame is
-// fully buffered before the decode is timed); the rank's goroutine folds
-// the stamps into the recorder in recvRaw, keeping the recorder
+// wire size and decode time (socket wait excluded — the frame is fully
+// buffered before the decode is timed); the rank's goroutine folds the
+// stamps into the recorder in recvRaw, keeping the recorder
 // single-writer.
 func (d *netDevice) readLoop(peer int, conn net.Conn) {
-	fr := &frameReader{r: bufio.NewReader(conn)}
-	dec := gob.NewDecoder(fr)
+	fr := newFrameReader(conn)
 	for {
-		fr.frameB = 0
 		err := fr.fetch()
-		decoding := err == nil
-		var decNs int64
-		var wm wireMsg
-		if decoding {
+		var msg message
+		if err == nil {
 			start := time.Now()
-			err = dec.Decode(&wm)
-			decNs = time.Since(start).Nanoseconds()
+			msg, err = fr.decode()
+			msg.decNs = time.Since(start).Nanoseconds()
 		}
 		if err != nil {
 			if d.closing.Load() {
@@ -366,12 +335,12 @@ func (d *netDevice) readLoop(peer int, conn net.Conn) {
 			}
 			reason, dead := fmt.Errorf("connection reset: %w", err), true
 			switch {
+			case errors.Is(err, errUndecodable):
+				reason, dead = err, false
 			case errors.Is(err, errFrameTooLarge):
 				reason = err
 			case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
 				reason = errors.New("connection closed")
-			case decoding && !isConnError(err):
-				reason, dead = fmt.Errorf("%w: %w", errUndecodable, err), false
 			}
 			s := reason.Error()
 			if dead {
@@ -381,18 +350,9 @@ func (d *netDevice) readLoop(peer int, conn net.Conn) {
 			d.box.markPeerDown(peer, fmt.Errorf("rank %d: %w", peer, reason))
 			return
 		}
-		var payload any = wm.Payload
-		switch wm.Kind {
-		case payloadNil:
-			payload = nil
-		case payloadEmpty:
-			payload = struct{}{}
-		}
-		d.box.put(message{
-			src: peer, tag: wm.Tag, payload: payload, bytes: wm.Bytes,
-			arrive: wm.Arrive, op: wm.Op, site: wm.Site,
-			wireB: fr.frameB, decNs: decNs,
-		})
+		// The connection names the sender; the header does not.
+		msg.src, msg.wireB = peer, int64(4+len(fr.buf))
+		d.box.put(msg)
 	}
 }
 
@@ -444,14 +404,49 @@ var errFrameTooLarge = errors.New("frame too large")
 // decode. The peer process is alive, but the stream from it is unusable.
 var errUndecodable = errors.New("sent a frame that does not decode")
 
-// frameWriter frames each gob-encoded message with a 4-byte big-endian
-// length prefix. The encoder is persistent per connection, so gob type
-// descriptors cross the wire once, with the first frame that uses them.
+// A frame is a 4-byte big-endian body length, then the body:
+//
+//	kind      1 byte, one of the kinds below
+//	Tag       signed varint (collective and group tags are negative)
+//	Bytes     signed varint
+//	Arrive    8 bytes, the float64's IEEE-754 bits
+//	Op, Site  each a uvarint length, then the string (the Verify stamps)
+//	payload   by kind
+//
+// Fixed-width fields are little-endian. nil and struct{} carry no payload
+// bytes: gob cannot encode either as an interface value, and Barrier
+// sends struct{}{}. []float64 and []byte carry a uvarint element count,
+// then the raw elements. Every other payload is kindGob, the gob encoding
+// of the interface value.
+const (
+	kindNil byte = iota
+	kindEmpty
+	kindGob
+	kindFloat64s
+	kindBytes
+)
+
+// le is the byte order of a frame body's fixed-width fields.
+var le = binary.LittleEndian
+
+// frameWriter encodes each message as one frame and sends it with one
+// Write: the body is built behind 4 reserved bytes, which are patched
+// with its length once it is complete. The gob encoder is persistent per
+// connection and appends to the same buffer, so a gob type descriptor
+// crosses the wire once, inside the first frame that holds the type.
 type frameWriter struct {
 	conn io.Writer
-	buf  bytes.Buffer
+	buf  frameBuf
 	enc  *gob.Encoder
-	hdr  [4]byte
+}
+
+// frameBuf is the frame under construction. Write lets the gob encoder
+// append a kindGob payload to it.
+type frameBuf []byte
+
+func (b *frameBuf) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
 }
 
 func newFrameWriter(conn io.Writer) *frameWriter {
@@ -461,46 +456,86 @@ func newFrameWriter(conn io.Writer) *frameWriter {
 }
 
 // writeMsg encodes m and writes it as one frame, returning the bytes put
-// on the wire (header + gob body) for the sender's net.tx aggregate.
-func (fw *frameWriter) writeMsg(m *wireMsg) (int64, error) {
-	fw.buf.Reset()
-	if err := fw.enc.Encode(m); err != nil {
+// on the wire (length prefix + body) for the sender's net.tx aggregate.
+func (fw *frameWriter) writeMsg(m *message) (int64, error) {
+	b := append(fw.buf[:0], 0, 0, 0, 0, 0) // length and kind, patched below
+	b = binary.AppendVarint(b, int64(m.tag))
+	b = binary.AppendVarint(b, int64(m.bytes))
+	b = le.AppendUint64(b, math.Float64bits(m.arrive))
+	b = append(binary.AppendUvarint(b, uint64(len(m.op))), m.op...)
+	b = append(binary.AppendUvarint(b, uint64(len(m.site))), m.site...)
+	kind, b := appendPayload(b, m.payload)
+	b[4] = kind
+	fw.buf = b
+	if kind == kindGob {
+		p := m.payload // Encode's argument escapes; the copy keeps *m on the caller's stack
+		if err := fw.enc.Encode(&p); err != nil {
+			return 0, err
+		}
+	}
+	body := len(fw.buf) - 4
+	if body > maxFrame {
+		return 0, fmt.Errorf("%w: %d bytes encoded, the limit is %d", errFrameTooLarge, body, maxFrame)
+	}
+	binary.BigEndian.PutUint32(fw.buf, uint32(body))
+	if _, err := fw.conn.Write(fw.buf); err != nil {
 		return 0, err
 	}
-	if fw.buf.Len() > maxFrame {
-		return 0, fmt.Errorf("%w: %d bytes encoded, the limit is %d", errFrameTooLarge, fw.buf.Len(), maxFrame)
-	}
-	binary.BigEndian.PutUint32(fw.hdr[:], uint32(fw.buf.Len()))
-	if _, err := fw.conn.Write(fw.hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := fw.conn.Write(fw.buf.Bytes()); err != nil {
-		return 0, err
-	}
-	return int64(len(fw.hdr) + fw.buf.Len()), nil
+	return int64(len(fw.buf)), nil
 }
 
-// frameReader re-assembles the framed stream for a persistent gob
-// decoder. It works a whole frame at a time: fetch pulls the next frame
-// off the socket into a buffer, and Read serves the decoder from that
-// buffer. The split is what makes the net.rx decode timing honest — the
-// socket wait happens in fetch, so the decoder's wall time measures gob
-// work, not idle time waiting for a peer to send.
+// appendPayload appends p's elements when its type has a kind of its own
+// and returns that kind. For any other type it returns kindGob and
+// appends nothing.
+func appendPayload(b []byte, p any) (byte, []byte) {
+	switch v := p.(type) {
+	case nil:
+		return kindNil, b
+	case struct{}:
+		return kindEmpty, b
+	case []float64:
+		b = binary.AppendUvarint(b, uint64(len(v)))
+		n := len(b)
+		b = slices.Grow(b, 8*len(v))[:n+8*len(v)]
+		for i, x := range v {
+			le.PutUint64(b[n+8*i:], math.Float64bits(x))
+		}
+		return kindFloat64s, b
+	case []byte:
+		return kindBytes, append(binary.AppendUvarint(b, uint64(len(v))), v...)
+	}
+	return kindGob, b
+}
+
+// frameReader reads the framed stream a whole frame at a time: fetch
+// pulls the next frame off the socket into a buffer, and decode turns its
+// body into a message. The split is what makes the net.rx decode timing
+// honest — the socket wait happens in fetch, so decode's wall time
+// measures codec work, not idle time waiting for a peer to send. gob
+// reads a kindGob payload through Read and ReadByte, which end where the
+// frame ends, so a gob payload never reads into the next frame.
 type frameReader struct {
-	r      *bufio.Reader
-	buf    []byte // current frame's body
-	pos    int
-	frameB int64 // wire bytes (headers + bodies) fetched since the last reset
+	r   *bufio.Reader
+	hdr [4]byte // a field, not a local: io.ReadFull would move a local to the heap
+	buf []byte  // current frame's body
+	pos int
+	err error // the current frame's first decode failure
+	dec *gob.Decoder
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	fr := &frameReader{r: bufio.NewReader(r)}
+	fr.dec = gob.NewDecoder(fr) // fr is an io.ByteReader, so gob adds no buffer of its own
+	return fr
 }
 
 // fetch reads one whole frame (header + body) into the buffer. A header
 // declaring more than maxFrame bytes is an error before any allocation.
 func (fr *frameReader) fetch() error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := binary.BigEndian.Uint32(fr.hdr[:])
 	if size > maxFrame {
 		return fmt.Errorf("%w: header declares %d bytes, the limit is %d", errFrameTooLarge, size, maxFrame)
 	}
@@ -516,30 +551,153 @@ func (fr *frameReader) fetch() error {
 		return err
 	}
 	fr.pos = 0
-	fr.frameB += int64(len(hdr) + n)
 	return nil
 }
 
+// decode decodes the fetched frame's body into a message; src, wireB and
+// decNs are left to the caller. A body that ends early, declares more
+// elements than it holds, names an unknown kind or has bytes after its
+// payload is an error wrapping errUndecodable.
+func (fr *frameReader) decode() (message, error) {
+	fr.err = nil
+	var m message
+	kind, err := fr.ReadByte()
+	fr.fail(err)
+	m.tag = int(fr.varint())
+	m.bytes = int(fr.varint())
+	m.arrive = math.Float64frombits(fr.u64())
+	m.op = fr.str()
+	m.site = fr.str()
+	if fr.err != nil {
+		return message{}, fmt.Errorf("%w: header: %w", errUndecodable, fr.err)
+	}
+	switch kind {
+	case kindNil:
+	case kindEmpty:
+		m.payload = struct{}{}
+	case kindGob:
+		var p any
+		fr.fail(fr.dec.Decode(&p))
+		m.payload = p
+	case kindFloat64s:
+		e := fr.elems(8)
+		s := makeSlice[float64](len(e) / 8)
+		for i := range s {
+			s[i] = math.Float64frombits(le.Uint64(e[8*i:]))
+		}
+		m.payload = s
+	case kindBytes:
+		e := fr.elems(1)
+		s := makeSlice[byte](len(e))
+		copy(s, e)
+		m.payload = s
+	default:
+		fr.fail(errors.New("unknown kind"))
+	}
+	if fr.err == nil && fr.pos != len(fr.buf) {
+		fr.fail(fmt.Errorf("%d bytes left unread", len(fr.buf)-fr.pos))
+	}
+	if fr.err != nil {
+		what := fmt.Sprintf("kind %d payload", kind)
+		if kind == kindGob {
+			what = "gob payload"
+		}
+		return message{}, fmt.Errorf("%w: %s: %w", errUndecodable, what, fr.err)
+	}
+	return m, nil
+}
+
+// Read and ReadByte serve the rest of the current frame, and report
+// io.ErrUnexpectedEOF at its end: a payload that wants more bytes than
+// its frame holds is truncated.
 func (fr *frameReader) Read(p []byte) (int, error) {
 	if fr.pos == len(fr.buf) {
-		// The decoder wants bytes beyond the fetched frame — a gob
-		// type-descriptor frame preceding its value. Pull the next one.
-		if err := fr.fetch(); err != nil {
-			return 0, err
-		}
+		return 0, io.ErrUnexpectedEOF
 	}
 	n := copy(p, fr.buf[fr.pos:])
 	fr.pos += n
 	return n, nil
 }
 
-// RegisterWire registers payload types for the net device's gob frames.
+func (fr *frameReader) ReadByte() (byte, error) {
+	if fr.pos == len(fr.buf) {
+		return 0, io.ErrUnexpectedEOF
+	}
+	fr.pos++
+	return fr.buf[fr.pos-1], nil
+}
+
+// The field readers below record the frame's first error in fr.err and
+// return zero values from then on, so decode checks once per part.
+
+func (fr *frameReader) fail(err error) {
+	if fr.err == nil {
+		fr.err = err
+	}
+}
+
+// take returns the next n bytes of the frame, or nil once the frame has
+// failed or holds fewer than n.
+func (fr *frameReader) take(n uint64) []byte {
+	if fr.err == nil && n > uint64(len(fr.buf)-fr.pos) {
+		fr.fail(io.ErrUnexpectedEOF)
+	}
+	if fr.err != nil {
+		return nil
+	}
+	b := fr.buf[fr.pos : fr.pos+int(n)]
+	fr.pos += int(n)
+	return b
+}
+
+func (fr *frameReader) u64() uint64 {
+	if b := fr.take(8); b != nil {
+		return le.Uint64(b)
+	}
+	return 0
+}
+
+func (fr *frameReader) varint() int64 {
+	v, err := binary.ReadVarint(fr)
+	fr.fail(err)
+	return v
+}
+
+func (fr *frameReader) str() string {
+	n, err := binary.ReadUvarint(fr)
+	fr.fail(err)
+	return string(fr.take(n))
+}
+
+// elems reads a slice kind's element count and returns its elements'
+// bytes. The count is checked against the bytes left in the frame before
+// anything is allocated for it.
+func (fr *frameReader) elems(width uint64) []byte {
+	n, err := binary.ReadUvarint(fr)
+	fr.fail(err)
+	if left := uint64(len(fr.buf) - fr.pos); fr.err == nil && n > left/width {
+		fr.fail(fmt.Errorf("%d elements of %d bytes declared, %d bytes left", n, width, left))
+	}
+	return fr.take(n * width)
+}
+
+// makeSlice returns n elements, or nil for none: gob delivers an empty
+// slice as a typed nil, and the raw-element kinds keep that.
+func makeSlice[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
+}
+
+// RegisterWire registers payload types for the net device's gob path.
 // Any concrete type that crosses the wire inside a message must be
 // registered by both sides before the world runs: call it from an init
 // function with zero values of your payload types (and, for types that
 // ride Gather/Scatter/Allgather, the slice type []T too — the binomial
 // trees forward segments). The common scalar and slice payloads are
-// pre-registered.
+// pre-registered; []float64 and []byte travel as raw elements, not gob,
+// unless they sit inside another payload.
 func RegisterWire(vs ...any) {
 	for _, v := range vs {
 		gob.Register(v)

@@ -1,6 +1,6 @@
 // Microbenchmarks for the net device: the same ping-pong and Allreduce
 // shapes as bench_test.go, but with every rank on its own World joined
-// over unix sockets — real gob framing, real kernel round-trips.
+// over unix sockets — real framing, real kernel round-trips.
 // scripts/bench.sh records these in BENCH_net.json; diffing against
 // BENCH_cluster.json prices the process boundary per message.
 package cluster
@@ -75,7 +75,8 @@ func runBenchNet(b *testing.B, worlds []*World, f func(c *Comm)) {
 // BenchmarkNetPingPong is BenchmarkPingPong over the wire: round-trip
 // time of a message between two single-rank processes-worth of Worlds,
 // per payload size. The delta against the in-process number is the cost
-// of gob encoding plus two kernel crossings.
+// of the frame codec (a []float64 travels as raw elements) plus two
+// kernel crossings.
 func BenchmarkNetPingPong(b *testing.B) {
 	for _, size := range []int{8, 1024, 65536} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {

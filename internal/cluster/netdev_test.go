@@ -379,19 +379,78 @@ func TestNetWorldOversizedFrameDiagnosis(t *testing.T) {
 	}
 }
 
+// writeRaw puts bytes on rank 1's connection to rank 0, bypassing the
+// frame encoder.
+func writeRaw(c *Comm, b []byte) {
+	if _, err := c.world.dev.(*netDevice).conns[0].Write(b); err != nil {
+		panic(err)
+	}
+}
+
 // TestNetWorldUndecodableFrameDiagnosis: a well-formed frame whose body
-// gob cannot decode marks the peer down with a decode failure. Neither
+// does not decode marks the peer down with a decode failure. Neither
 // the receive's error nor the peer's link state calls it a connection
 // reset or a dead process.
 func TestNetWorldUndecodableFrameDiagnosis(t *testing.T) {
-	errs, worlds := runNetWorld(t, "unix", netAddrs(t, 2), DefaultOptions(), func(c *Comm) {
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"corrupt gob payload", rawFrame(kindGob, "\x01\x00"), "rank 1: sent a frame that does not decode: gob"},
+		{"truncated header", []byte("\x00\x00\x00\x02\x02\x02"), "rank 1: sent a frame that does not decode: header"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			errs, worlds := runNetWorld(t, "unix", netAddrs(t, 2), DefaultOptions(), func(c *Comm) {
+				if c.Rank() == 1 {
+					writeRaw(c, tc.frame)
+					return
+				}
+				Recv[int](c, 1, 1)
+			})
+			if errs[1] != nil {
+				t.Fatalf("rank 1: %v", errs[1])
+			}
+			err := errs[0]
+			if err == nil {
+				t.Fatal("rank 0 accepted a frame that does not decode")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("diagnosis does not contain %q:\n%s", tc.want, err)
+			}
+			for _, wrong := range []string{"connection reset", "exited or crashed"} {
+				if strings.Contains(err.Error(), wrong) {
+					t.Errorf("undecodable frame diagnosed with %q:\n%s", wrong, err)
+				}
+			}
+			if info := worlds[0].dev.peerInfo(1); strings.Contains(info, "exited or crashed") {
+				t.Errorf("peer info calls a peer that sent a bad frame dead: %s", info)
+			}
+		})
+	}
+}
+
+// TestNetWorldTruncatedGobPayload: a gob payload cut short inside its
+// frame is diagnosed from that frame alone. The peer stays alive and
+// sends nothing more, so a reader that went on to the next frame would
+// wait until the peer exits and then blame a closed connection.
+func TestNetWorldTruncatedGobPayload(t *testing.T) {
+	failed := make(chan struct{})
+	var elapsed time.Duration
+	errs, _ := runNetWorld(t, "unix", netAddrs(t, 2), DefaultOptions(), func(c *Comm) {
 		if c.Rank() == 1 {
-			conn := c.world.dev.(*netDevice).conns[0]
-			if _, err := conn.Write([]byte("\x00\x00\x00\x02\x01\x00")); err != nil {
-				panic(err)
+			writeRaw(c, rawFrame(kindGob, "\x10")) // a 16-byte gob message, none of it sent
+			select {
+			case <-failed:
+			case <-time.After(5 * time.Second):
 			}
 			return
 		}
+		start := time.Now()
+		defer func() {
+			elapsed = time.Since(start)
+			close(failed)
+		}()
 		Recv[int](c, 1, 1)
 	})
 	if errs[1] != nil {
@@ -399,18 +458,18 @@ func TestNetWorldUndecodableFrameDiagnosis(t *testing.T) {
 	}
 	err := errs[0]
 	if err == nil {
-		t.Fatal("rank 0 accepted a frame that does not decode")
+		t.Fatal("rank 0 accepted a truncated gob payload")
 	}
-	if !strings.Contains(err.Error(), "rank 1: sent a frame that does not decode: gob") {
+	if elapsed > time.Second {
+		t.Errorf("rank 0 waited %v for a frame it already held", elapsed)
+	}
+	if !strings.Contains(err.Error(), "rank 1: sent a frame that does not decode") {
 		t.Errorf("diagnosis does not name rank 1's undecodable frame:\n%s", err)
 	}
-	for _, wrong := range []string{"connection reset", "exited or crashed"} {
+	for _, wrong := range []string{"connection closed", "connection reset", "exited or crashed"} {
 		if strings.Contains(err.Error(), wrong) {
-			t.Errorf("undecodable frame diagnosed with %q:\n%s", wrong, err)
+			t.Errorf("truncated payload diagnosed with %q:\n%s", wrong, err)
 		}
-	}
-	if info := worlds[0].dev.peerInfo(1); strings.Contains(info, "exited or crashed") {
-		t.Errorf("peer info calls a peer that sent a bad frame dead: %s", info)
 	}
 }
 

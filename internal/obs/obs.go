@@ -298,8 +298,9 @@ func (r *Recorder) PhaseSpan(op string, simStart, simEnd float64, wallStart int6
 }
 
 // WireSpan accumulates one wire-level transport operation (the net
-// device's gob encode of an outgoing frame, or decode of an incoming
-// one): invocation count, frame bytes, and the wall-duration histogram.
+// device's encode and write of an outgoing frame, or decode of an
+// incoming one): invocation count, frame bytes, and the wall-duration
+// histogram.
 // Unlike the other recording methods it emits no timeline event — wall
 // durations are nondeterministic, and the Chrome export must stay a
 // pure function of the simulated clocks — so wall-clock-derived values
