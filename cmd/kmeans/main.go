@@ -33,6 +33,17 @@ func main() {
 	obsCLI := obs.BindCLI()
 	flag.Parse()
 
+	strat, ok := map[string]kmeans.Strategy{
+		"sequential": kmeans.Sequential,
+		"critical":   kmeans.Critical,
+		"atomic":     kmeans.Atomic,
+		"reduction":  kmeans.Reduction,
+	}[*strategy]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "kmeans: unknown -strategy %q (want sequential, critical, atomic or reduction)\n", *strategy)
+		os.Exit(2)
+	}
+
 	var points [][]float64
 	if *inPath != "" {
 		ds, err := dataio.LoadCSV(*inPath)
@@ -44,12 +55,6 @@ func main() {
 		points = dataio.GaussianMixture(*seed, *n, *d, *k, 3.0).Points
 	}
 
-	strat := map[string]kmeans.Strategy{
-		"sequential": kmeans.Sequential,
-		"critical":   kmeans.Critical,
-		"atomic":     kmeans.Atomic,
-		"reduction":  kmeans.Reduction,
-	}[*strategy]
 	opts := kmeans.Options{
 		K: *k, Seed: *seed, MaxIter: *maxIter, MinChanges: *minChanges,
 		Workers: *workers, Strategy: strat,

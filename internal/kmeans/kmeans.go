@@ -195,7 +195,9 @@ type centIndex struct {
 	norm []float64 // len k, squared norms
 	// Register-kernel layout, built when k <= nearestLanes: the
 	// transposed coordinates padded to a fixed nearestLanes columns per
-	// dimension, with unused lanes' norms at +Inf so they never win.
+	// dimension. Unused lanes repeat centroid 0, so their scores equal
+	// lane 0's bit for bit, NaN included, and the lower-index tie rule
+	// keeps them from winning whatever the input.
 	t8 []float64 // len dim*nearestLanes
 	n8 [nearestLanes]float64
 }
@@ -216,6 +218,8 @@ func (ci *centIndex) rebuild(cents [][]float64) {
 	ci.dim = len(cents[0])
 	if cap(ci.flat) < k*ci.dim {
 		ci.flat = make([]float64, k*ci.dim)
+	}
+	if cap(ci.norm) < k {
 		ci.norm = make([]float64, k)
 	}
 	ci.flat = ci.flat[:k*ci.dim]
@@ -236,18 +240,27 @@ func (ci *centIndex) rebuild(cents [][]float64) {
 		ci.t8 = make([]float64, ci.dim*nearestLanes)
 	}
 	ci.t8 = ci.t8[:ci.dim*nearestLanes]
-	for i := range ci.t8 {
-		ci.t8[i] = 0
-	}
-	for i := range ci.n8 {
-		ci.n8[i] = math.Inf(1)
-	}
-	for c, cent := range cents {
-		ci.n8[c] = ci.norm[c]
-		for d, v := range cent {
+	for c := range ci.n8 {
+		src := c
+		if c >= k {
+			src = 0 // padding repeats centroid 0
+		}
+		ci.n8[c] = ci.norm[src]
+		for d, v := range cents[src] {
 			ci.t8[d*nearestLanes+c] = v
 		}
 	}
+}
+
+// scoreKey maps a score to an int64 whose signed order is the score's
+// order: non-negative floats keep their bits, negative ones flip all
+// but the sign bit, so a larger magnitude sorts lower. The order is the
+// float order for every non-NaN value except that −0 sorts below +0
+// (nearest explains why no score is −0); a NaN sorts by its sign bit,
+// beyond −Inf or +Inf.
+func scoreKey(s float64) int64 {
+	b := int64(math.Float64bits(s))
+	return b ^ int64(uint64(b>>63)>>1)
 }
 
 // nearest returns the closest centroid index for p. Safe for concurrent
@@ -257,8 +270,24 @@ func (ci *centIndex) rebuild(cents [][]float64) {
 // against the padded transposed layout, keeping all K running scores in
 // registers: the inner statements are independent multiply-adds, so the
 // loop is throughput-bound instead of serialised on one floating-point
-// add chain per centroid. Padded lanes start at +Inf and accumulate
-// zeros, so they never win the argmin.
+// add chain per centroid.
+//
+// The argmin has no branch. The winning centroid changes from point to
+// point, so a compare-and-jump per centroid is mispredicted about as
+// often as it is taken. Instead each score becomes its scoreKey, and a
+// linear `if k < bk { best, bk = i, k }` chain, which the compiler turns
+// into conditional moves, keeps the first minimum: ties still go to the
+// lower index.
+//
+// On finite input this is exactly the float `<` scan's answer. Keys
+// order like floats except that −0 sorts below +0, and no score is −0:
+// a sum or difference is −0 only when its first term is −0 (an exact
+// zero from anything else rounds to +0), and every score starts from a
+// squared norm, a sum of squares begun at +0. A NaN or ±Inf coordinate
+// can make scores NaN (−Inf·0 is one). The float scan never picks a
+// NaN, the keys order it by its sign bit, so the answer may then differ
+// from the scan's; it is still an index in [0, K) and never a panic,
+// because padded lanes tie with lane 0 and lose.
 func (ci *centIndex) nearest(p []float64) int {
 	if ci.k > nearestLanes {
 		return ci.nearestRowwise(p)
@@ -280,35 +309,36 @@ func (ci *centIndex) nearest(p []float64) int {
 		a7 += m * row[7]
 		off += nearestLanes
 	}
-	best, bs := 0, a0
-	if a1 < bs {
-		best, bs = 1, a1
+	best, bk := 0, scoreKey(a0)
+	if k := scoreKey(a1); k < bk {
+		best, bk = 1, k
 	}
-	if a2 < bs {
-		best, bs = 2, a2
+	if k := scoreKey(a2); k < bk {
+		best, bk = 2, k
 	}
-	if a3 < bs {
-		best, bs = 3, a3
+	if k := scoreKey(a3); k < bk {
+		best, bk = 3, k
 	}
-	if a4 < bs {
-		best, bs = 4, a4
+	if k := scoreKey(a4); k < bk {
+		best, bk = 4, k
 	}
-	if a5 < bs {
-		best, bs = 5, a5
+	if k := scoreKey(a5); k < bk {
+		best, bk = 5, k
 	}
-	if a6 < bs {
-		best, bs = 6, a6
+	if k := scoreKey(a6); k < bk {
+		best, bk = 6, k
 	}
-	if a7 < bs {
+	if k := scoreKey(a7); k < bk {
 		best = 7
 	}
 	return best
 }
 
 // nearestRowwise is the large-K fallback: one dot product per centroid
-// against the row-major layout.
+// against the row-major layout, with the same branch-free argmin over
+// score keys as nearest.
 func (ci *centIndex) nearestRowwise(p []float64) int {
-	best, bestScore := 0, math.Inf(1)
+	best, bk := 0, int64(math.MaxInt64)
 	dim := ci.dim
 	p = p[:dim]
 	off := 0
@@ -323,8 +353,8 @@ func (ci *centIndex) nearestRowwise(p []float64) int {
 		if i < len(row) {
 			s0 += p[i] * row[i]
 		}
-		if score := ci.norm[c] - 2*(s0+s1); score < bestScore {
-			best, bestScore = c, score
+		if k := scoreKey(ci.norm[c] - 2*(s0+s1)); k < bk {
+			best, bk = c, k
 		}
 		off += dim
 	}

@@ -2,6 +2,7 @@ package kmeans
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -136,23 +137,45 @@ func TestDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestDistributedMatchesSequential holds RunDistributed to what the
+// benchmark's oracle enforces: for every rank count, the sequential
+// run's iterations, changes per iteration and assignment, element by
+// element, and its WCSS within 1e-9.
 func TestDistributedMatchesSequential(t *testing.T) {
-	ds := blobs(7, 800, 3, 3)
-	seq := Run(ds.Points, Options{K: 3, Seed: 21})
-	for _, p := range []int{1, 2, 4, 5} {
-		world := cluster.NewWorld(p)
-		dist, err := RunDistributed(world, ds.Points, Options{K: 3, Seed: 21})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(dist.WCSS(ds.Points)-seq.WCSS(ds.Points))/seq.WCSS(ds.Points) > 1e-9 {
-			t.Errorf("P=%d WCSS %v vs %v", p, dist.WCSS(ds.Points), seq.WCSS(ds.Points))
-		}
-		if len(dist.Assign) != ds.Len() {
-			t.Errorf("P=%d assignment length %d", p, len(dist.Assign))
-		}
-		if dist.Iterations != seq.Iterations {
-			t.Errorf("P=%d iterations %d vs %d", p, dist.Iterations, seq.Iterations)
+	cases := []struct {
+		name   string
+		points [][]float64
+		opts   Options
+	}{
+		{"blobs", blobs(7, 800, 3, 3).Points, Options{K: 3, Seed: 21}},
+		{"kmeans-c4", dataio.GaussianMixture(1, 4000, 4, 8, 50).Points, Options{K: 8, MaxIter: 20, Seed: 1}},
+		{"k16", dataio.GaussianMixture(2, 3000, 5, 16, 30).Points, Options{K: 16, MaxIter: 20, Seed: 2}},
+	}
+	for _, tc := range cases {
+		seq := Run(tc.points, tc.opts)
+		for _, p := range []int{1, 2, 4, 5} {
+			dist, err := RunDistributed(cluster.NewWorld(p), tc.points, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(dist.WCSS(tc.points)-seq.WCSS(tc.points))/seq.WCSS(tc.points) > 1e-9 {
+				t.Errorf("%s P=%d: WCSS %v vs %v", tc.name, p, dist.WCSS(tc.points), seq.WCSS(tc.points))
+			}
+			if dist.Iterations != seq.Iterations {
+				t.Errorf("%s P=%d: iterations %d vs %d", tc.name, p, dist.Iterations, seq.Iterations)
+			}
+			if !slices.Equal(dist.ChangesPerIter, seq.ChangesPerIter) {
+				t.Errorf("%s P=%d: changes per iteration %v vs %v", tc.name, p, dist.ChangesPerIter, seq.ChangesPerIter)
+			}
+			if len(dist.Assign) != len(seq.Assign) {
+				t.Fatalf("%s P=%d: assignment length %d vs %d", tc.name, p, len(dist.Assign), len(seq.Assign))
+			}
+			for i, a := range dist.Assign {
+				if a != seq.Assign[i] {
+					t.Errorf("%s P=%d: point %d assigned to %d, sequential %d", tc.name, p, i, a, seq.Assign[i])
+					break
+				}
+			}
 		}
 	}
 }

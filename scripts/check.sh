@@ -52,6 +52,13 @@ echo "== multi-process launch smoke (net device, P=4)"
 mkdir -p out
 go build -o out/peachy ./cmd/peachy
 go build -o out/kmeans ./cmd/kmeans
+# An unknown -strategy is a usage error (exit 2), not a silent sequential run.
+status=0
+out/kmeans -n 100 -strategy bogus >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+	echo "check.sh: ERROR: kmeans -strategy bogus exited $status, want 2" >&2
+	exit 1
+fi
 # canonical PATTERN keeps the result line PATTERN matches and strips the
 # wall-clock field, the only part allowed to differ between an in-process
 # and a launched run.
