@@ -36,6 +36,11 @@ func TestByteSizePinsEveryCase(t *testing.T) {
 		{uint(42), 8},
 		{uint64(42), 8},
 		{float64(3.14), 8},
+		// Allreduce snapshots these scalars too (clonePayload), so they
+		// must not be charged the unknown-payload estimate.
+		{uintptr(42), 8},
+		{complex64(1 + 2i), 8},
+		{complex128(1 + 2i), 16},
 		{"hello", 5},
 		{"", 0},
 		{[]byte{1, 2, 3}, 3},
@@ -85,7 +90,7 @@ func TestUnknownSizeHook(t *testing.T) {
 	}
 
 	seen = nil
-	for _, known := range []any{nil, true, int64(1), "x", []float64{1}, [][]float64{{1}}, wireSized{n: 5}} {
+	for _, known := range []any{nil, true, int64(1), complex128(1), uintptr(1), "x", []float64{1}, [][]float64{{1}}, wireSized{n: 5}} {
 		byteSize(known)
 	}
 	if len(seen) != 0 {

@@ -225,26 +225,26 @@ func (m *mailbox) peek(src, tag int) (bkt, idx int, ok bool) {
 	return bestBucket, bestIdx, true
 }
 
-// match finds and removes the matching pending message, if any. Caller
-// holds m.mu.
-func (m *mailbox) match(src, tag int) (message, bool) {
+// match finds the matching pending message, if any, copies it into out
+// and removes it. Caller holds m.mu.
+func (m *mailbox) match(src, tag int, out *message) bool {
 	bkt, idx, ok := m.peek(src, tag)
 	if !ok {
-		return message{}, false
+		return false
 	}
 	b := &m.bySrc[bkt]
-	msg := b.items[idx]
+	*out = b.items[idx]
 	b.removeAt(idx)
 	m.nPending--
-	return msg, true
+	return true
 }
 
-// take blocks until a message matching (src, tag) is pending and removes
-// it, preserving FIFO order per (src, tag) pair. st is the receiving
-// rank's state; in Verify mode the wait is bounded by the world's
-// VerifyTimeout, after which a deadlock dump of every rank is returned
-// as the error.
-func (m *mailbox) take(src, tag int, st *rankState) (message, error) {
+// take blocks until a message matching (src, tag) is pending and moves it
+// into out, preserving FIFO order per (src, tag) pair. st is the
+// receiving rank's state; in Verify mode the wait is bounded by the
+// world's VerifyTimeout, after which a deadlock dump of every rank is
+// returned as the error.
+func (m *mailbox) take(src, tag int, st *rankState, out *message) error {
 	timeout := st.world.verifyTimeout()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -262,11 +262,11 @@ func (m *mailbox) take(src, tag int, st *rankState) (message, error) {
 		defer timer.Stop()
 	}
 	for {
-		if msg, ok := m.match(src, tag); ok {
-			return msg, nil
+		if m.match(src, tag, out) {
+			return nil
 		}
 		if m.closed {
-			return message{}, fmt.Errorf("%w while waiting for src=%d tag=%d", errWorldAborted, src, tag)
+			return fmt.Errorf("%w while waiting for src=%d tag=%d", errWorldAborted, src, tag)
 		}
 		if err := m.peerDownErr(src); err != nil {
 			// A dead peer is a different diagnosis than a deadlock: the
@@ -276,7 +276,7 @@ func (m *mailbox) take(src, tag int, st *rankState) (message, error) {
 			m.mu.Unlock()
 			derr := st.world.deadPeerError(st.worldRank, src, tag, err)
 			m.mu.Lock()
-			return message{}, derr
+			return derr
 		}
 		if timeout > 0 && !time.Now().Before(deadline) {
 			// Drop our own lock before walking every rank's mailbox so two
@@ -284,7 +284,7 @@ func (m *mailbox) take(src, tag int, st *rankState) (message, error) {
 			m.mu.Unlock()
 			dump := st.world.deadlockDump(st.worldRank, src, tag, timeout)
 			m.mu.Lock()
-			return message{}, errors.New(dump)
+			return errors.New(dump)
 		}
 		m.cond.Wait()
 	}
@@ -604,6 +604,12 @@ type rankState struct {
 	collDepth      int
 
 	lastNS int // highest tag namespace this rank has taken part in; see Split
+
+	// spare is the snapshot the rank's last recursive-doubling Allreduce
+	// made after its final round. No other rank has it, so it is dead,
+	// and the next such call copies its first snapshot into it (see
+	// rdAllreduce). It stays boxed, so that send needs no new box.
+	spare any
 }
 
 // Comm is a communicator: one rank's endpoint into the world, or into a
@@ -653,11 +659,18 @@ func (c *Comm) AdvanceClock(seconds float64) { c.clock += seconds }
 // obs.Recorder methods are nil-safe, so callers need no guard.
 func (c *Comm) Obs() *obs.Recorder { return c.rec }
 
-// sendRaw posts a message to communicator rank dst and advances the
-// sender's clock. tag is already folded into the communicator's
-// namespace (userTag, nextCollTag). Messages and trace events carry
-// world ranks; sendRaw, recvRaw and poll are where a communicator's
-// ranks are mapped to them.
+// send posts payload to communicator rank dst, charged at its byteSize.
+// The payload is boxed once, by the call, and the message and its size
+// share that box.
+func (c *Comm) send(dst, tag int, payload any) {
+	c.sendRaw(dst, tag, payload, byteSize(payload))
+}
+
+// sendRaw posts a message of the given modeled size to communicator rank
+// dst and advances the sender's clock. tag is already folded into the
+// communicator's namespace (userTag, nextCollTag). Messages and trace
+// events carry world ranks; sendRaw, recvRaw and poll are where a
+// communicator's ranks are mapped to them.
 func (c *Comm) sendRaw(dst, tag int, payload any, bytes int) {
 	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("cluster: send to invalid rank %d", dst))
@@ -677,21 +690,21 @@ func (c *Comm) sendRaw(dst, tag int, payload any, bytes int) {
 }
 
 // recvRaw blocks for a message from communicator rank src (or AnySource)
-// with the folded tag, then completes the receive with finishRecv.
-func (c *Comm) recvRaw(src, tag int) message {
+// with the folded tag, moves it from the mailbox into msg, and completes
+// the receive with finishRecv.
+func (c *Comm) recvRaw(src, tag int, msg *message) {
 	var wallStart int64
 	simStart := c.clock
 	if c.rec != nil {
 		wallStart = c.rec.Now()
 	}
-	msg, err := c.world.boxes[c.worldRank].take(c.toWorld(src), tag, c.rankState)
-	if err != nil {
+	if err := c.world.boxes[c.worldRank].take(c.toWorld(src), tag, c.rankState, msg); err != nil {
 		if errors.Is(err, errWorldAborted) {
 			panic(abortPanic{err.Error()})
 		}
 		panic(err.Error())
 	}
-	return c.finishRecv(msg, src, simStart, wallStart)
+	c.finishRecv(msg, src, simStart, wallStart)
 }
 
 // finishRecv completes a matched receive, blocking (recvRaw) or not
@@ -700,7 +713,7 @@ func (c *Comm) recvRaw(src, tag int) message {
 // receiver's clock to at least the message's availability time, records
 // the receive, and rewrites msg.src from a world rank to a rank of c.
 // src is the source the receive asked for.
-func (c *Comm) finishRecv(msg message, src int, simStart float64, wallStart int64) message {
+func (c *Comm) finishRecv(msg *message, src int, simStart float64, wallStart int64) {
 	if c.world.opts.Verify {
 		c.checkCollStamp(msg)
 	}
@@ -717,7 +730,6 @@ func (c *Comm) finishRecv(msg message, src int, simStart float64, wallStart int6
 		}
 	}
 	msg.src = c.fromWorld(msg.src, src)
-	return msg
 }
 
 // fromWorld maps the world rank w that a receive on (src, ...) matched
@@ -740,14 +752,15 @@ func (c *Comm) fromWorld(w, src int) int {
 // Send delivers v to rank dst with the given tag. It does not block on the
 // receiver (eager/buffered semantics).
 func Send[T any](c *Comm, dst, tag int, v T) {
-	c.sendRaw(dst, c.userTag(tag), v, byteSize(v))
+	c.send(dst, c.userTag(tag), v)
 }
 
 // Recv blocks until a message from src with the given tag arrives and
 // returns its payload. src may be AnySource and tag may be AnyTag (AnyTag
 // on the world only). The payload must have been sent with the same type T.
 func Recv[T any](c *Comm, src, tag int) T {
-	msg := c.recvRaw(src, c.userTag(tag))
+	var msg message
+	c.recvRaw(src, c.userTag(tag), &msg)
 	v, ok := msg.payload.(T)
 	if !ok {
 		panic(fmt.Sprintf("cluster: rank %d Recv type mismatch: got %T", c.rank, msg.payload))
@@ -758,7 +771,8 @@ func Recv[T any](c *Comm, src, tag int) T {
 // RecvFrom is Recv that additionally reports the sending rank; useful with
 // AnySource (the dynamic task farm uses it).
 func RecvFrom[T any](c *Comm, src, tag int) (T, int) {
-	msg := c.recvRaw(src, c.userTag(tag))
+	var msg message
+	c.recvRaw(src, c.userTag(tag), &msg)
 	v, ok := msg.payload.(T)
 	if !ok {
 		panic(fmt.Sprintf("cluster: rank %d RecvFrom type mismatch: got %T", c.rank, msg.payload))
@@ -777,8 +791,10 @@ func byteSize(v any) int {
 		return 2
 	case int32, uint32, float32:
 		return 4
-	case int, int64, uint, uint64, float64:
+	case int, int64, uint, uint64, uintptr, float64, complex64:
 		return 8
+	case complex128:
+		return 16
 	case string:
 		return len(x)
 	case []byte:

@@ -88,40 +88,66 @@ type Cloner interface {
 	CloneWire() any
 }
 
-// clonePayload snapshots v for the recursive-doubling exchange. The bool
-// reports whether v's type is snapshotable at all; value types (scalars,
-// strings, struct{}) are their own snapshot.
-func clonePayload[T any](v T) (T, bool) {
+// clonePayload copies v for the recursive-doubling exchange. ok reports
+// whether v's type can be copied at all; value types (scalars, strings,
+// struct{}) are their own copy. spare is a dead snapshot the copy may
+// reuse, or nil: a slice goes into spare's array when spare is a slice of
+// v's type and length (copyInto), and box is then spare itself, so the
+// copy is sent in the box it came in. box is nil for every other copy.
+func clonePayload[T any](v T, spare any) (cp T, box any, ok bool) {
 	switch x := any(v).(type) {
 	case nil, bool, int8, uint8, int16, uint16, int32, uint32, int, uint,
 		int64, uint64, uintptr, float32, float64, complex64, complex128,
 		string, struct{}:
-		return v, true
+		return v, nil, true
 	case []float64:
-		return any(append([]float64(nil), x...)).(T), true
+		y, box := copyInto(x, spare)
+		return any(y).(T), box, true
 	case []float32:
-		return any(append([]float32(nil), x...)).(T), true
+		y, box := copyInto(x, spare)
+		return any(y).(T), box, true
 	case []int:
-		return any(append([]int(nil), x...)).(T), true
+		y, box := copyInto(x, spare)
+		return any(y).(T), box, true
 	case []int32:
-		return any(append([]int32(nil), x...)).(T), true
+		y, box := copyInto(x, spare)
+		return any(y).(T), box, true
 	case []int64:
-		return any(append([]int64(nil), x...)).(T), true
+		y, box := copyInto(x, spare)
+		return any(y).(T), box, true
 	case []uint64:
-		return any(append([]uint64(nil), x...)).(T), true
+		y, box := copyInto(x, spare)
+		return any(y).(T), box, true
 	case []byte:
-		return any(append([]byte(nil), x...)).(T), true
+		y, box := copyInto(x, spare)
+		return any(y).(T), box, true
 	case []bool:
-		return any(append([]bool(nil), x...)).(T), true
+		y, box := copyInto(x, spare)
+		return any(y).(T), box, true
 	case Cloner:
-		return x.CloneWire().(T), true
+		// Box v again rather than call through x: a method call on x would
+		// make the switch's own box escape, and every copy would allocate.
+		return any(v).(Cloner).CloneWire().(T), nil, true
 	default:
-		return v, false
+		return v, nil, false
 	}
 }
 
+// copyInto copies x into spare's array when spare is a []E of x's length
+// that does not share x's array, and returns spare as the copy's box.
+// Otherwise it copies x into a new array and returns a nil box. The
+// shared-array test keeps a recursive-doubling round from copying its
+// accumulator into itself when op returned the snapshot it received.
+func copyInto[E any](x []E, spare any) ([]E, any) {
+	if d, ok := spare.([]E); ok && len(d) == len(x) && (len(x) == 0 || &d[0] != &x[0]) {
+		copy(d, x)
+		return d, spare
+	}
+	return append([]E(nil), x...), nil
+}
+
 // segmentBytes models the wire size of a batch of values, element by
-// element, so tree Gather/Scatter account exactly for what they forward.
+// element, so tree Scatter accounts exactly for what it forwards.
 func segmentBytes[T any](seg []T) int {
 	n := 0
 	for i := range seg {
@@ -144,9 +170,10 @@ func (c *Comm) Barrier() {
 		return
 	}
 	size := c.Size()
+	var msg message
 	for off := 1; off < size; off <<= 1 {
-		c.sendRaw((c.rank+off)%size, tag, struct{}{}, 0)
-		c.recvRaw((c.rank-off+size)%size, tag)
+		c.send((c.rank+off)%size, tag, struct{}{})
+		c.recvRaw((c.rank-off+size)%size, tag, &msg)
 	}
 }
 
@@ -174,7 +201,8 @@ func Reduce[T any](c *Comm, root int, v T, op func(a, b T) T) T {
 // critical path); otherwise it falls back to reduce-to-0 plus broadcast.
 // op must be associative and commutative (exactly commutative for
 // bit-identical results on every rank); it may mutate and return its
-// first argument.
+// first argument. op must not keep its second argument after it returns:
+// that is a snapshot the runtime recycles for a later message.
 func Allreduce[T any](c *Comm, v T, op func(a, b T) T) T {
 	c.beginColl("Allreduce", -1)
 	defer c.endColl()
@@ -183,7 +211,7 @@ func Allreduce[T any](c *Comm, v T, op func(a, b T) T) T {
 	if !c.baselineColl() && size > 1 {
 		if !isPow2(size) {
 			c.fallbackInstant(fallbackAllreduce, fallbackNonPow2)
-		} else if acc, ok := clonePayload(v); ok {
+		} else if acc, _, ok := clonePayload(v, nil); ok {
 			// The gate's clone doubles as the private accumulator: ops
 			// commonly mutate and return their first operand, and the
 			// payload-reuse contract promises the caller's argument stays
@@ -201,7 +229,7 @@ func Allreduce[T any](c *Comm, v T, op func(a, b T) T) T {
 		// path, which only ever sends clones, this makes the Allreduce
 		// payload argument reusable as soon as the call returns — the
 		// contract the analyzer's ownership and hotalloc rules rely on.
-		if snap, ok := clonePayload(r); ok {
+		if snap, _, ok := clonePayload(r, nil); ok {
 			r = snap
 		}
 	}
@@ -209,25 +237,46 @@ func Allreduce[T any](c *Comm, v T, op func(a, b T) T) T {
 }
 
 // rdAllreduce is the recursive-doubling exchange: in round k every rank
-// swaps accumulators with rank^2^k and folds. Each rank sends a snapshot
-// of its accumulator, never the live value, because op may mutate its
-// first argument in place while the partner is still reading what it
-// received — the in-process, zero-copy analogue of MPI's private buffers.
-// rdAllreduce runs recursive doubling. acc must already be a private
-// snapshot of the caller's payload (Allreduce's snapshotability gate
-// provides it), so the fold never touches the caller's buffer.
+// swaps accumulators with rank^2^k and folds. acc must already be a
+// private copy of the caller's payload (Allreduce's snapshotability gate
+// makes it), so the fold never touches the caller's buffer; it becomes
+// the result. Each rank sends a snapshot of its accumulator, never the
+// live value, because op may mutate its first argument in place while
+// the partner is still reading what it received — the in-process,
+// zero-copy analogue of MPI's private buffers.
+//
+// Snapshots are recycled. Once op has folded in the snapshot a round
+// received, that snapshot is dead, unless op returned it, and the copy
+// of the new accumulator goes into it (copyInto checks for the array op
+// returned). That copy is the next round's snapshot, or, after the last
+// round, the one the rank keeps in spare for its next call's first
+// round. A steady-state call thus allocates only its result.
 func rdAllreduce[T any](c *Comm, tag int, acc T, op func(a, b T) T) T {
+	box := snapshot(acc, c.spare)
+	var msg message
 	for mask := 1; mask < c.Size(); mask <<= 1 {
 		partner := c.rank ^ mask
-		snap, ok := clonePayload(acc)
-		if !ok {
-			panic(fmt.Sprintf("cluster: Allreduce payload became unsnapshotable mid-collective (%T)", acc))
-		}
-		c.sendRaw(partner, tag, snap, byteSize(snap))
-		msg := c.recvRaw(partner, tag)
+		c.send(partner, tag, box)
+		c.recvRaw(partner, tag, &msg)
 		acc = op(acc, msg.payload.(T))
+		box = snapshot(acc, msg.payload)
 	}
+	c.spare = box
 	return acc
+}
+
+// snapshot copies acc for sending, into spare when clonePayload can
+// reuse it, and returns the copy boxed: in spare's own box, or in the
+// one boxing a new copy needs.
+func snapshot[T any](acc T, spare any) any {
+	cp, box, ok := clonePayload(acc, spare)
+	if !ok {
+		panic(fmt.Sprintf("cluster: Allreduce payload became unsnapshotable mid-collective (%T)", acc))
+	}
+	if box == nil {
+		return cp
+	}
+	return box
 }
 
 // Gather collects one value from every rank. On root it returns a slice
@@ -246,16 +295,17 @@ func Gather[T any](c *Comm, root int, v T) []T {
 
 func gatherLinear[T any](c *Comm, root, tag int, v T) []T {
 	if c.rank != root {
-		c.sendRaw(root, tag, v, byteSize(v))
+		c.send(root, tag, v)
 		return nil
 	}
 	out := make([]T, c.Size())
 	out[root] = v
+	var msg message
 	for r := 0; r < c.Size(); r++ {
 		if r == root {
 			continue
 		}
-		msg := c.recvRaw(r, tag)
+		c.recvRaw(r, tag, &msg)
 		out[r] = msg.payload.(T)
 	}
 	return out
@@ -263,22 +313,32 @@ func gatherLinear[T any](c *Comm, root, tag int, v T) []T {
 
 // gatherTree runs the binomial gather on root-relative ranks: each
 // subtree leader accumulates the contiguous segment of relative ranks it
-// covers and forwards it to its parent in one message.
+// covers and forwards it to its parent in one message. The segment is
+// sized to the subtree once: relative ranks [rel, rel+lowbit(rel)), cut
+// off at size, and all of them at the root. Its modeled size is this
+// rank's value plus the sizes of the segments it received.
 func gatherTree[T any](c *Comm, root, tag int, v T) []T {
 	size := c.Size()
 	rel := (c.rank - root + size) % size
-	seg := make([]T, 1, 2)
+	span := size
+	if rel != 0 {
+		span = min(rel&-rel, size-rel)
+	}
+	seg := make([]T, 1, span)
 	seg[0] = v // seg[i] holds relative rank rel+i's value
+	bytes := 0
+	var msg message
 	for mask := 1; mask < size; mask <<= 1 {
 		if rel&mask != 0 {
 			dst := ((rel &^ mask) + root) % size
-			c.sendRaw(dst, tag, seg, segmentBytes(seg))
+			c.sendRaw(dst, tag, seg, bytes+byteSize(v))
 			return nil
 		}
 		srcRel := rel | mask
 		if srcRel < size {
-			msg := c.recvRaw((srcRel+root)%size, tag)
+			c.recvRaw((srcRel+root)%size, tag, &msg)
 			seg = append(seg, msg.payload.([]T)...)
+			bytes += msg.bytes
 		}
 	}
 	out := make([]T, size)
@@ -305,6 +365,8 @@ func Allgather[T any](c *Comm, v T) []T {
 	}
 	out := make([]T, size)
 	out[c.rank] = v
+	bytes := byteSize(v) // this rank's block: its own value and every block it received
+	var msg message
 	for mask := 1; mask < size; mask <<= 1 {
 		partner := c.rank ^ mask
 		myBase := c.rank &^ (mask - 1)
@@ -312,9 +374,10 @@ func Allgather[T any](c *Comm, v T) []T {
 		// The partner only reads this window, and this rank never writes
 		// inside its own (growing) block again, so sharing the live slice
 		// is race-free.
-		c.sendRaw(partner, tag, seg, segmentBytes(seg))
-		msg := c.recvRaw(partner, tag)
+		c.sendRaw(partner, tag, seg, bytes)
+		c.recvRaw(partner, tag, &msg)
 		copy(out[partner&^(mask-1):], msg.payload.([]T))
+		bytes += msg.bytes
 	}
 	return out
 }
@@ -322,12 +385,13 @@ func Allgather[T any](c *Comm, v T) []T {
 func allgatherLinear[T any](c *Comm, tag int, v T) []T {
 	var all []T
 	if c.rank != 0 {
-		c.sendRaw(0, tag, v, byteSize(v))
+		c.send(0, tag, v)
 	} else {
 		all = make([]T, c.Size())
 		all[0] = v
+		var msg message
 		for r := 1; r < c.Size(); r++ {
-			msg := c.recvRaw(r, tag)
+			c.recvRaw(r, tag, &msg)
 			all[r] = msg.payload.(T)
 		}
 	}
@@ -361,11 +425,12 @@ func scatterLinear[T any](c *Comm, root, tag int, parts []T) T {
 			if r == root {
 				continue
 			}
-			c.sendRaw(r, tag, parts[r], byteSize(parts[r]))
+			c.send(r, tag, parts[r])
 		}
 		return parts[root]
 	}
-	msg := c.recvRaw(root, tag)
+	var msg message
+	c.recvRaw(root, tag, &msg)
 	return msg.payload.(T)
 }
 
@@ -390,7 +455,8 @@ func scatterTree[T any](c *Comm, root, tag int, parts []T) T {
 		for mask < size {
 			if rel&mask != 0 {
 				parent := ((rel &^ mask) + root) % size
-				msg := c.recvRaw(parent, tag)
+				var msg message
+				c.recvRaw(parent, tag, &msg)
 				seg = msg.payload.([]T)
 				break
 			}
@@ -427,31 +493,32 @@ func Alltoall[T any](c *Comm, parts []T) []T {
 	tag := c.nextCollTag()
 	out := make([]T, size)
 	out[c.rank] = parts[c.rank]
+	var msg message
 	switch {
 	case c.baselineColl():
 		for r := 0; r < size; r++ {
 			if r == c.rank {
 				continue
 			}
-			c.sendRaw(r, tag, parts[r], byteSize(parts[r]))
+			c.send(r, tag, parts[r])
 		}
 		for i := 0; i < size-1; i++ {
-			msg := c.recvRaw(AnySource, tag)
+			c.recvRaw(AnySource, tag, &msg)
 			out[msg.src] = msg.payload.(T)
 		}
 	case isPow2(size):
 		for i := 1; i < size; i++ {
 			partner := c.rank ^ i
-			c.sendRaw(partner, tag, parts[partner], byteSize(parts[partner]))
-			msg := c.recvRaw(partner, tag)
+			c.send(partner, tag, parts[partner])
+			c.recvRaw(partner, tag, &msg)
 			out[partner] = msg.payload.(T)
 		}
 	default:
 		for i := 1; i < size; i++ {
 			dst := (c.rank + i) % size
 			src := (c.rank - i + size) % size
-			c.sendRaw(dst, tag, parts[dst], byteSize(parts[dst]))
-			msg := c.recvRaw(src, tag)
+			c.send(dst, tag, parts[dst])
+			c.recvRaw(src, tag, &msg)
 			out[src] = msg.payload.(T)
 		}
 	}
@@ -466,11 +533,12 @@ func Scan[T any](c *Comm, v T, op func(a, b T) T) T {
 	tag := c.nextCollTag()
 	acc := v
 	if c.rank > 0 {
-		msg := c.recvRaw(c.rank-1, tag)
+		var msg message
+		c.recvRaw(c.rank-1, tag, &msg)
 		acc = op(msg.payload.(T), v)
 	}
 	if c.rank < c.Size()-1 {
-		c.sendRaw(c.rank+1, tag, acc, byteSize(acc))
+		c.send(c.rank+1, tag, acc)
 	}
 	return acc
 }
@@ -483,16 +551,21 @@ func bcastTree[T any](c *Comm, root, tag int, v T) T {
 	for mask < size {
 		if rel&mask != 0 {
 			parent := ((rel &^ mask) + root) % size
-			msg := c.recvRaw(parent, tag)
+			var msg message
+			c.recvRaw(parent, tag, &msg)
 			v = msg.payload.(T)
 			break
 		}
 		mask <<= 1
 	}
+	var box any // v, boxed once for all of this rank's children
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < size {
+			if box == nil {
+				box = v
+			}
 			dst := (rel + mask + root) % size
-			c.sendRaw(dst, tag, v, byteSize(v))
+			c.send(dst, tag, box)
 		}
 	}
 	return v
@@ -503,16 +576,17 @@ func reduceTree[T any](c *Comm, root, tag int, v T, op func(a, b T) T) T {
 	size := c.Size()
 	rel := (c.rank - root + size) % size
 	acc := v
+	var msg message
 	for mask := 1; mask < size; mask <<= 1 {
 		if rel&mask == 0 {
 			srcRel := rel | mask
 			if srcRel < size {
-				msg := c.recvRaw((srcRel+root)%size, tag)
+				c.recvRaw((srcRel+root)%size, tag, &msg)
 				acc = op(acc, msg.payload.(T))
 			}
 		} else {
 			dst := ((rel &^ mask) + root) % size
-			c.sendRaw(dst, tag, acc, byteSize(acc))
+			c.send(dst, tag, acc)
 			break
 		}
 	}

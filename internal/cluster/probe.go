@@ -18,8 +18,8 @@ func (c *Comm) Probe(src, tag int) bool {
 // only). With a trace attached the poll is recorded as an instant event,
 // so a polling manager's duty cycle is visible on the timeline.
 func (c *Comm) ProbeNext(src, tag int) (msgSrc, msgTag int, ok bool) {
-	msg, ok := c.poll(src, tag, false)
-	if !ok {
+	var msg message
+	if !c.poll(src, tag, false, &msg) {
 		return 0, 0, false
 	}
 	if tag == AnyTag {
@@ -38,34 +38,34 @@ func TryRecv[T any](c *Comm, src, tag int) (v T, ok bool) {
 	if c.rec != nil {
 		wallStart = c.rec.Now()
 	}
-	msg, ok := c.poll(src, tag, true)
-	if !ok {
+	var msg message
+	if !c.poll(src, tag, true, &msg) {
 		return v, false
 	}
-	msg = c.finishRecv(msg, src, simStart, wallStart)
+	c.finishRecv(&msg, src, simStart, wallStart)
 	return msg.payload.(T), true
 }
 
 // poll is the probe path behind ProbeNext and TryRecv: one non-blocking
 // scan of the mailbox through peek, the same seq-ordered match Recv
 // uses, so a probe can never name a different "next message" than the
-// receive that follows it. With take set a match is removed and handed
-// to the caller to finish; otherwise the poll is recorded as a "probe"
-// instant (as is a TryRecv miss). The returned msg.src is a world rank.
-func (c *Comm) poll(src, tag int, take bool) (msg message, ok bool) {
+// receive that follows it. A hit is copied into msg. With take set it is
+// also removed, for the caller to finish; otherwise the poll is recorded
+// as a "probe" instant (as is a TryRecv miss). msg.src is a world rank.
+func (c *Comm) poll(src, tag int, take bool, msg *message) (ok bool) {
 	wsrc, wtag := c.toWorld(src), c.userTag(tag)
 	box := c.world.boxes[c.worldRank]
 	box.mu.Lock()
 	if take {
-		msg, ok = box.match(wsrc, wtag)
+		ok = box.match(wsrc, wtag, msg)
 	} else if bkt, idx, hit := box.peek(wsrc, wtag); hit {
-		msg, ok = box.bySrc[bkt].items[idx], true
+		*msg, ok = box.bySrc[bkt].items[idx], true
 	}
 	box.mu.Unlock()
 	if c.rec != nil && !(take && ok) {
 		c.rec.Instant("probe", wsrc, wtag, 0, c.clock, obs.KV{K: "hit", V: boolKV(ok)})
 	}
-	return msg, ok
+	return ok
 }
 
 func boolKV(b bool) int64 {

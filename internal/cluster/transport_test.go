@@ -122,10 +122,11 @@ func TestMailboxZeroesAfterDelivery(t *testing.T) {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if msg, ok := m.match(1, 9); !ok || msg.payload.([]float64)[0] != 4 {
+	var msg message
+	if ok := m.match(1, 9, &msg); !ok || msg.payload.([]float64)[0] != 4 {
 		t.Fatalf("match(1,9) = %+v, %v", msg, ok)
 	}
-	if msg, ok := m.match(2, 7); !ok || msg.payload.([]float64)[0] != 3 {
+	if ok := m.match(2, 7, &msg); !ok || msg.payload.([]float64)[0] != 3 {
 		t.Fatalf("match(2,7) = %+v, %v", msg, ok)
 	}
 	if m.nPending != 1 {
@@ -160,8 +161,8 @@ func TestAnySourceSeqOrder(t *testing.T) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for want := 0; want < len(arrivals); want++ {
-		msg, ok := m.match(AnySource, 5)
-		if !ok {
+		var msg message
+		if !m.match(AnySource, 5, &msg) {
 			t.Fatalf("match %d: no message", want)
 		}
 		if got := msg.payload.(int); got != want {
@@ -183,11 +184,12 @@ func TestConcreteTagScansPastHead(t *testing.T) {
 	m.put(message{src: 1, tag: 8, payload: "second"})
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	msg, ok := m.match(1, 8)
+	var msg, msg2 message
+	ok := m.match(1, 8, &msg)
 	if !ok || msg.payload.(string) != "second" {
 		t.Fatalf("match(1,8) = %+v, %v; want the message behind the head", msg, ok)
 	}
-	if msg2, ok := m.match(1, 3); !ok || msg2.payload.(string) != "first" {
+	if ok := m.match(1, 3, &msg2); !ok || msg2.payload.(string) != "first" {
 		t.Fatalf("head message lost after out-of-order match: %+v, %v", msg2, ok)
 	}
 }

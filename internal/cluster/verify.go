@@ -88,7 +88,7 @@ func (c *Comm) endColl() {
 // checkCollStamp panics when the collective stamp on a received message
 // disagrees with the collective this rank is inside. It runs before
 // finishRecv maps msg.src, so the diagnostic names world ranks.
-func (c *Comm) checkCollStamp(msg message) {
+func (c *Comm) checkCollStamp(msg *message) {
 	if msg.op == c.curOp {
 		return
 	}

@@ -22,6 +22,9 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== allocation budgets of the message path (without -race, which changes allocation counts)"
+go test -count=1 -run Allocs ./internal/cluster
+
 echo "== bench harness tests (bench/ is its own module, so ./... skips it)"
 (cd bench && go test ./...)
 
