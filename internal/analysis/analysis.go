@@ -131,7 +131,8 @@ var checks = map[string]checkFunc{
 	"rawgo":        checkRawGo,
 }
 
-// Analyze runs the enabled rules over one package unit. Load errors
+// Analyze type-checks one package unit, once, and runs the enabled rules
+// over it; every rule sees the types. Load errors
 // recorded on the unit (files that failed to parse) are surfaced first,
 // as findings with the reserved rule name "load" — they are always on,
 // so a broken file fails the gate instead of silently shrinking it.
@@ -139,16 +140,11 @@ func Analyze(u *Unit, cfg Config) []Finding {
 	r := &reporter{unit: u}
 	u.cfg = cfg
 	r.findings = append(r.findings, u.LoadErrs...)
+	u.ensureTypes()
 	for _, name := range AllRules {
-		if !cfg.enabled(name) {
-			continue
+		if cfg.enabled(name) {
+			checks[name](u, r)
 		}
-		switch name {
-		case "lockcopy", "capture", "useaftersend", "recvalias", "wiresafe",
-			"hotalloc", "rolledcoll", "nondet":
-			u.ensureTypes() // these rules consult type info where available
-		}
-		checks[name](u, r)
 	}
 	sort.Slice(r.findings, func(i, j int) bool {
 		a, b := r.findings[i].Pos, r.findings[j].Pos

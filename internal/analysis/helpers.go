@@ -3,22 +3,8 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strings"
 )
-
-// Collective vocabulary of the cluster substrate. Methods are matched on
-// any receiver identifier; functions take the communicator as their first
-// argument (cluster.Bcast(c, ...) or, inside package cluster and its
-// tests, bare Bcast(c, ...)).
-var collectiveMethods = map[string]bool{
-	"Barrier": true, "Split": true,
-}
-
-var collectiveFuncs = map[string]bool{
-	"Bcast": true, "Reduce": true, "Allreduce": true, "Gather": true,
-	"Allgather": true, "Scatter": true, "Alltoall": true, "Scan": true,
-}
 
 // rankIdentNames are bare identifiers treated as a rank value.
 var rankIdentNames = map[string]bool{
@@ -95,57 +81,12 @@ func flipCmp(op token.Token) token.Token {
 	return op // EQL, NEQ symmetric
 }
 
-// collCall describes a collective call site.
-type collCall struct {
-	name string
-	comm string // communicator ident ("" unknown)
-	pos  token.Pos
-}
-
-// asCollective classifies a call expression as a collective, if it is one.
-func asCollective(call *ast.CallExpr) (collCall, bool) {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		if collectiveMethods[fun.Sel.Name] && len(call.Args) <= 2 {
-			if id, ok := fun.X.(*ast.Ident); ok {
-				return collCall{name: fun.Sel.Name, comm: id.Name, pos: call.Pos()}, true
-			}
-			return collCall{name: fun.Sel.Name, pos: call.Pos()}, true
-		}
-		if collectiveFuncs[fun.Sel.Name] && len(call.Args) > 0 {
-			return collCall{name: fun.Sel.Name, comm: firstArgIdent(call), pos: call.Pos()}, true
-		}
-	case *ast.Ident:
-		// Bare call: inside package cluster or with a dot import.
-		if collectiveFuncs[fun.Name] && len(call.Args) > 0 {
-			return collCall{name: fun.Name, comm: firstArgIdent(call), pos: call.Pos()}, true
-		}
-	case *ast.IndexExpr: // explicit instantiation: Bcast[T](c, ...)
-		inner := &ast.CallExpr{Fun: fun.X, Args: call.Args}
-		return asCollective(inner)
-	case *ast.IndexListExpr:
-		inner := &ast.CallExpr{Fun: fun.X, Args: call.Args}
-		return asCollective(inner)
-	}
-	return collCall{}, false
-}
-
-func firstArgIdent(call *ast.CallExpr) string {
-	if len(call.Args) == 0 {
-		return ""
-	}
-	if id, ok := call.Args[0].(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
-
 // collectColls gathers, in source order, the collective calls under n that
 // involve communicator comm (calls whose communicator cannot be derived
 // are included; calls on a different, known communicator are not). It
 // does not descend into nested function literals.
-func collectColls(u *Unit, n ast.Node, comm string) []collCall {
-	var out []collCall
+func collectColls(u *Unit, n ast.Node, comm string) []commCall {
+	var out []commCall
 	if n == nil {
 		return nil
 	}
@@ -154,11 +95,9 @@ func collectColls(u *Unit, n ast.Node, comm string) []collCall {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if cc, ok := asCollective(c); ok && u.clusterCall(c) {
-				// clusterCall screens out namesakes from other packages
-				// (strings.Split is not a communicator split).
-				if comm == "" || cc.comm == "" || cc.comm == comm {
-					out = append(out, cc)
+			if op, ok := u.commOp(c); ok && op.kind == opColl {
+				if on := identName(op.comm); comm == "" || on == "" || on == comm {
+					out = append(out, op)
 				}
 			}
 		}
@@ -214,38 +153,4 @@ func funcBodies(u *Unit, visit func(name string, body *ast.BlockStmt)) {
 			return true
 		})
 	}
-}
-
-// clusterCall reports whether a collective- or comm-named call plausibly
-// targets the cluster vocabulary rather than an unrelated function that
-// shares a name (par.Reduce, a local Send helper, ...). Package-qualified
-// calls must come through a package named "cluster"; bare free-function
-// calls must hand a communicator-typed first argument when types resolve.
-// Method calls and calls with unresolved types pass — the syntactic rules
-// (collective, protocol) keep their lenient matching; only the
-// type-driven ownership and wire-safety rules consult this.
-func (u *Unit) clusterCall(call *ast.CallExpr) bool {
-	if sel, ok := unwrapCallFun(call).(*ast.SelectorExpr); ok {
-		if id, ok := sel.X.(*ast.Ident); ok && u.info != nil {
-			if _, isPkg := u.info.Uses[id].(*types.PkgName); isPkg {
-				return id.Name == "cluster"
-			}
-		}
-		return true // method call on a value (c.Barrier and friends)
-	}
-	if u.info == nil || len(call.Args) == 0 {
-		return true
-	}
-	t := u.info.TypeOf(call.Args[0])
-	if t == nil {
-		return true
-	}
-	if b, ok := t.(*types.Basic); ok && b.Kind() == types.Invalid {
-		return true // unresolved cross-package type: stay lenient
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := types.Unalias(t).(*types.Named)
-	return ok && named.Obj().Name() == "Comm"
 }

@@ -109,7 +109,7 @@ func (m *mutAnalyzer) mutatedParams(fd *ast.FuncDecl) map[string]mutWrite {
 				return true
 			}
 			// A communication call is an effect, not a mutation edge.
-			if _, isColl := asCollective(x); isColl || commCallName(x) != "" && isCommName(commCallName(x)) {
+			if _, isOp := m.u.commOp(x); isOp {
 				return true
 			}
 			callee := m.cg.resolve(x)
@@ -235,14 +235,4 @@ func callFunIdent(call *ast.CallExpr) (string, bool) {
 		return id.Name, true
 	}
 	return "", false
-}
-
-// isCommName reports whether a name belongs to the point-to-point
-// communication vocabulary (collectives are classified separately).
-func isCommName(name string) bool {
-	switch name {
-	case "Send", "SendRecv", "Recv", "RecvFrom", "TryRecv":
-		return true
-	}
-	return false
 }

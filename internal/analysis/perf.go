@@ -52,29 +52,6 @@ func (u *Unit) payloadFacts(fd *ast.FuncDecl) map[string]sentFact {
 	return out
 }
 
-// commPayload returns the payload argument of a direct communication
-// call — a point-to-point send or a payload-carrying collective — with
-// the operation name. Calls that merely share a name with the cluster
-// vocabulary are rejected by the clusterCall gate.
-func commPayload(u *Unit, call *ast.CallExpr) (ast.Expr, string, bool) {
-	if !u.clusterCall(call) {
-		return nil, "", false
-	}
-	if cc, ok := asCollective(call); ok {
-		if i := collPayloadIndex(cc.name); i >= 0 && i < len(call.Args) {
-			return call.Args[i], cc.name, true
-		}
-		return nil, "", false
-	}
-	switch name := commCallName(call); name {
-	case "Send", "SendRecv":
-		if len(call.Args) == 4 {
-			return call.Args[3], name, true
-		}
-	}
-	return nil, "", false
-}
-
 // mentionsIdent reports whether the node mentions an identifier by name
 // (function literals excluded: a mention inside a closure is not a
 // mention at this program point).
@@ -99,22 +76,15 @@ func mentionsIdent(n ast.Node, name string) bool {
 }
 
 // pkgSel matches a package-qualified call (pkg.Fn(...)) and returns the
-// package and function names. With type info the base identifier must
-// resolve to an imported package; without it the spelling decides — the
-// lenient degrade every type-consulting rule uses.
+// package and function names. The base identifier must resolve to an
+// imported package.
 func (u *Unit) pkgSel(call *ast.CallExpr) (pkg, fn string, ok bool) {
-	sel, isSel := unwrapCallFun(call).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	id, isID := sel.X.(*ast.Ident)
-	if !isID {
-		return "", "", false
-	}
-	if u.info != nil {
-		if _, isPkg := u.info.Uses[id].(*types.PkgName); !isPkg {
-			return "", "", false
+	if sel, isSel := unwrapCallFun(call).(*ast.SelectorExpr); isSel {
+		if id, isID := sel.X.(*ast.Ident); isID {
+			if _, isPkg := u.info.Uses[id].(*types.PkgName); isPkg {
+				return id.Name, sel.Sel.Name, true
+			}
 		}
 	}
-	return id.Name, sel.Sel.Name, true
+	return "", "", false
 }

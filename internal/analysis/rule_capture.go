@@ -27,7 +27,7 @@ func checkCapture(u *Unit, r *reporter) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.CallExpr:
-				switch commCallName(x) {
+				switch callName(x) {
 				case "Run":
 					// World.Run(func(c *cluster.Comm)): require the
 					// rank-body shape so unrelated Run methods (testing.T,
@@ -44,7 +44,7 @@ func checkCapture(u *Unit, r *reporter) {
 					for _, a := range x.Args {
 						if lit, ok := a.(*ast.FuncLit); ok {
 							label := "pool-worker closure"
-							if commCallName(x) == "OnEach" {
+							if callName(x) == "OnEach" {
 								label = "locale body"
 							}
 							analyzeClosure(u, r, lit, label, true)
@@ -167,13 +167,11 @@ func analyzeClosure(u *Unit, r *reporter, lit *ast.FuncLit, label string, taintP
 			if !ok || !captured(base) {
 				return
 			}
-			if u.info != nil {
-				if tv, ok := u.info.Types[x.X]; ok {
-					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-						r.report("capture", pos,
-							"write to captured map %q inside %s: concurrent map writes fault even on distinct keys — rank-guard it or merge after the join", base.Name, label)
-						return
-					}
+			if tv, ok := u.info.Types[x.X]; ok {
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					r.report("capture", pos,
+						"write to captured map %q inside %s: concurrent map writes fault even on distinct keys — rank-guard it or merge after the join", base.Name, label)
+					return
 				}
 			}
 			if !isTaintedIndex(x.Index) {

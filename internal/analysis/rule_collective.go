@@ -12,7 +12,6 @@ import (
 // rank calls the same collectives in the same order, and both of which
 // deadlock (or worse, cross-match) at runtime.
 func checkCollective(u *Unit, r *reporter) {
-	u.ensureTypes() // to tell c.Split from strings.Split
 	funcBodies(u, func(name string, body *ast.BlockStmt) {
 		scanStmtsForDivergence(u, r, body.List, nil)
 	})
@@ -87,7 +86,7 @@ func checkRankIf(u *Unit, r *reporter, ifs *ast.IfStmt, rest []ast.Stmt, tails [
 	}
 	comm := cmps[0].comm
 
-	var later []collCall
+	var later []commCall
 	for _, s := range rest {
 		later = append(later, collectColls(u, s, comm)...)
 	}
@@ -101,7 +100,7 @@ func checkRankIf(u *Unit, r *reporter, ifs *ast.IfStmt, rest []ast.Stmt, tails [
 	if !terminates(ifs.Body) {
 		thenSeq = append(thenSeq, later...)
 	}
-	var elseSeq []collCall
+	var elseSeq []commCall
 	elseTerm := false
 	switch e := ifs.Else.(type) {
 	case *ast.BlockStmt:
@@ -142,7 +141,7 @@ func allElseTerminates(e ast.Stmt) bool {
 	return false
 }
 
-func sameOps(a, b []collCall) bool {
+func sameOps(a, b []commCall) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -154,8 +153,8 @@ func sameOps(a, b []collCall) bool {
 	return true
 }
 
-func describeOpDiff(thenOps, elseOps []collCall) string {
-	names := func(ops []collCall) string {
+func describeOpDiff(thenOps, elseOps []commCall) string {
+	names := func(ops []commCall) string {
 		if len(ops) == 0 {
 			return "none"
 		}

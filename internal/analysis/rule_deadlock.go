@@ -265,7 +265,7 @@ func checkUniformRecvFirst(u *Unit, r *reporter, s *summarizer) {
 	for _, f := range u.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || commCallName(call) != "Run" {
+			if !ok || callName(call) != "Run" {
 				return true
 			}
 			for _, a := range call.Args {

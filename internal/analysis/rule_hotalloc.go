@@ -29,7 +29,6 @@ import (
 // allocations the caller could hoist, and are not reported either.
 
 func checkHotAlloc(u *Unit, r *reporter) {
-	u.ensureTypes()
 	sums := u.summaries()
 	funcBodies(u, func(name string, body *ast.BlockStmt) {
 		h := &hotAllocScan{u: u, r: r, cg: sums.cg, seen: map[token.Pos]bool{}}
@@ -74,8 +73,8 @@ func (h *hotAllocScan) loop(body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		if arg, op, direct := commPayload(h.u, call); direct {
-			h.payloadUse(arg, op, "", allocs)
+		if op, ok := h.u.commOp(call); ok && op.payload != nil {
+			h.payloadUse(op.payload, op.name, "", allocs)
 			return true
 		}
 		callee := h.cg.resolve(call)
@@ -270,12 +269,10 @@ func (h *hotAllocScan) refLiteral(x ast.Expr) bool {
 	case *ast.ArrayType, *ast.MapType:
 		return true
 	}
-	if h.u.info != nil {
-		if t := h.u.info.TypeOf(lit); t != nil {
-			switch t.Underlying().(type) {
-			case *types.Slice, *types.Map:
-				return true
-			}
+	if t := h.u.info.TypeOf(lit); t != nil {
+		switch t.Underlying().(type) {
+		case *types.Slice, *types.Map:
+			return true
 		}
 	}
 	return false

@@ -10,11 +10,7 @@ import (
 // value receivers, value parameters, plain assignments and range copies. A
 // copied lock is a distinct lock, which silently destroys the mutual
 // exclusion (and for WaitGroup, the join) it was supposed to provide.
-// This is the go/types-powered rule; the others are purely syntactic.
 func checkLockCopy(u *Unit, r *reporter) {
-	if u.info == nil {
-		return
-	}
 	info := u.info
 
 	// TypeOf consults Types, Defs and Uses, covering range-value idents

@@ -34,7 +34,6 @@ import (
 // send or collective is reported at the call site.
 
 func checkNondet(u *Unit, r *reporter) {
-	u.ensureTypes()
 	sums := u.summaries()
 	funcBodies(u, func(name string, body *ast.BlockStmt) {
 		s := &nondetScan{
@@ -228,9 +227,6 @@ func (s *nondetScan) rangeStmt(x *ast.RangeStmt) {
 }
 
 func (s *nondetScan) isMapExpr(e ast.Expr) bool {
-	if s.u.info == nil {
-		return false
-	}
 	t := s.u.info.TypeOf(e)
 	if t == nil {
 		return false
@@ -309,9 +305,6 @@ func (s *nondetScan) inRangeBase(name string) bool {
 }
 
 func (s *nondetScan) isIntegerIdent(e ast.Expr) bool {
-	if s.u.info == nil {
-		return false
-	}
 	t := s.u.info.TypeOf(e)
 	if t == nil {
 		return false
@@ -406,10 +399,10 @@ func (s *nondetScan) call(call *ast.CallExpr) {
 		return
 	}
 	// Direct wire payload (send or collective — the reduction-operand case).
-	if arg, op, ok := commPayload(s.u, call); ok {
-		if t, tainted := s.exprTaint(arg); tainted {
+	if op, ok := s.u.commOp(call); ok && op.payload != nil {
+		if t, tainted := s.exprTaint(op.payload); tainted {
 			s.sink(call.Pos(), t,
-				"reaches the %s payload; wire traffic and reduction results will differ across runs — use internal/prng or a deterministic iteration order", op)
+				"reaches the %s payload; wire traffic and reduction results will differ across runs — use internal/prng or a deterministic iteration order", op.name)
 		}
 		return
 	}

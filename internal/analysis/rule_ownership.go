@@ -191,7 +191,6 @@ type ownEngine struct {
 }
 
 func (e *ownEngine) run() {
-	e.u.ensureTypes()
 	funcBodies(e.u, func(name string, body *ast.BlockStmt) {
 		e.walkStmts(body.List, newOwnState())
 	})
@@ -219,9 +218,6 @@ func (e *ownEngine) line(pos token.Pos) int {
 // reference semantics (slice, map or pointer underlying). Missing type
 // info yields false: untyped expressions go untracked rather than noisy.
 func (e *ownEngine) isRefExprType(x ast.Expr) bool {
-	if e.u.info == nil {
-		return false
-	}
 	t := e.u.info.TypeOf(x)
 	if t == nil {
 		return false
@@ -427,21 +423,21 @@ func (e *ownEngine) bind(name string, rhs ast.Expr, multiFromCall bool, st *ownS
 		return
 	}
 	if call, ok := rhs.(*ast.CallExpr); ok {
-		if e.u.clusterCall(call) {
-			if isRecvName(commCallName(call)) {
+		if op, ok := e.u.commOp(call); ok {
+			if op.kind.receives() {
 				root := e.fresh(name)
 				st.alias[name] = bufRegion{root: root, whole: true}
 				st.recvd[root] = true
 				return
 			}
-			if cc, ok := asCollective(call); ok && collPayloadIndex(cc.name) >= 0 && e.payloadShares(call) {
+			if op.kind == opColl && op.payload != nil && e.payloadShares(call) {
 				// The collective's return value is shared with other ranks by
 				// the in-process transport (Bcast hands every rank the same
 				// backing array); writes to it need a deep copy first. Split
 				// carries no payload: the group Comm it returns is private.
 				root := e.fresh(name)
 				st.alias[name] = bufRegion{root: root, whole: true}
-				st.live[root] = &liveInfo{op: cc.name + " result", pos: call.Pos()}
+				st.live[root] = &liveInfo{op: op.name + " result", pos: call.Pos()}
 				return
 			}
 		}
@@ -588,7 +584,7 @@ func (e *ownEngine) rhsFromRecv(rhs ast.Expr, st *ownState) bool {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if isRecvName(commCallName(x)) {
+			if op, ok := e.u.commOp(x); ok && op.kind.receives() {
 				found = true
 				return false
 			}
@@ -602,14 +598,6 @@ func (e *ownEngine) rhsFromRecv(rhs ast.Expr, st *ownState) bool {
 		if reg, ok2 := st.alias[name]; ok2 {
 			return st.recvd[reg.root]
 		}
-	}
-	return false
-}
-
-func isRecvName(name string) bool {
-	switch name {
-	case "Recv", "RecvFrom", "TryRecv", "SendRecv":
-		return true
 	}
 	return false
 }
@@ -661,8 +649,9 @@ func (e *ownEngine) handleCall(call *ast.CallExpr, st *ownState) {
 			return
 		}
 	}
-	if e.u.clusterCall(call) {
-		if cc, ok := asCollective(call); ok {
+	if op, ok := e.u.commOp(call); ok {
+		switch op.kind {
+		case opColl:
 			// Entering a collective synchronizes earlier point-to-point
 			// sends; the payload handed to it becomes shared with other
 			// ranks (the transport passes the pointer through).
@@ -672,31 +661,24 @@ func (e *ownEngine) handleCall(call *ast.CallExpr, st *ownState) {
 			// reduce+bcast fallback clones at the root before broadcasting
 			// (collectives.go). The *result* still aliases shared memory —
 			// handled in bind — but the argument is reusable.
-			reusable := cc.name == "Allreduce"
-			if i := collPayloadIndex(cc.name); i >= 0 && i < len(call.Args) && !reusable && e.payloadShares(call.Args[i]) {
-				if reg, ok := e.resolveRef(call.Args[i], st); ok {
-					st.live[reg.root] = &liveInfo{op: cc.name, pos: call.Pos()}
+			if op.payload != nil && op.name != "Allreduce" && e.payloadShares(op.payload) {
+				if reg, ok := e.resolveRef(op.payload, st); ok {
+					st.live[reg.root] = &liveInfo{op: op.name, pos: call.Pos()}
 				}
 			}
-			return
-		}
-		switch name := commCallName(call); name {
-		case "Send", "SendRecv":
-			if len(call.Args) == 4 && e.payloadShares(call.Args[3]) {
-				if reg, ok := e.resolveRef(call.Args[3], st); ok {
+		case opRecv:
+			st.clearPeer(renderPeer(op.peer, e.consts))
+		default: // Send, SendRecv
+			if e.payloadShares(op.payload) {
+				if reg, ok := e.resolveRef(op.payload, st); ok {
 					st.live[reg.root] = &liveInfo{
-						op: name, pos: call.Pos(), p2p: true,
-						peer: renderPeer(call.Args[1], e.consts),
+						op: op.name, pos: call.Pos(), p2p: true,
+						peer: renderPeer(op.peer, e.consts),
 					}
 				}
 			}
-			return
-		case "Recv", "RecvFrom", "TryRecv":
-			if len(call.Args) == 3 {
-				st.clearPeer(renderPeer(call.Args[1], e.consts))
-			}
-			return
 		}
+		return
 	}
 	callee := e.sums.cg.resolve(call)
 	if callee == nil {
@@ -785,14 +767,11 @@ func (e *ownEngine) payloadShares(x ast.Expr) bool {
 			return true
 		}
 	}
-	if e.u.info != nil {
-		if t := e.u.info.TypeOf(x); t != nil {
-			if b, ok := t.(*types.Basic); ok && b.Kind() == types.Invalid {
-				// unresolved cross-package type: judge syntactically below
-			} else {
-				return e.u.hasReferenceParts(t, false)
-			}
+	if t := e.u.info.TypeOf(x); t != nil {
+		if b, ok := t.(*types.Basic); !ok || b.Kind() != types.Invalid {
+			return e.u.hasReferenceParts(t, false)
 		}
+		// an unresolved cross-package type: judge syntactically below
 	}
 	_, isIdent := stripParens(x).(*ast.Ident)
 	return isIdent

@@ -26,7 +26,6 @@ import (
 // only re-rolling one on top of the public API is.
 
 func checkRolledColl(u *Unit, r *reporter) {
-	u.ensureTypes()
 	sums := u.summaries()
 	funcBodies(u, func(name string, body *ast.BlockStmt) {
 		sizes := sizeIdents(body)
@@ -203,22 +202,18 @@ func collectRollEvents(u *Unit, cg *callGraph, body *ast.BlockStmt, iv string, e
 		if !ok {
 			return true
 		}
-		if u.clusterCall(call) {
-			switch name := commCallName(call); name {
-			case "Send":
-				if len(call.Args) == 4 && mentionsIdent(call.Args[1], iv) {
+		if op, ok := u.commOp(call); ok && (op.kind == opSend || op.name == "Recv") {
+			if mentionsIdent(op.peer, iv) {
+				if op.kind == opRecv {
+					ev.recvs++
+				} else {
 					ev.sends++
-					if indexedBy(call.Args[3], iv) {
+					if indexedBy(op.payload, iv) {
 						ev.slicedSend = true
 					}
 				}
-				return true
-			case "Recv":
-				if len(call.Args) == 3 && mentionsIdent(call.Args[1], iv) {
-					ev.recvs++
-				}
-				return true
 			}
+			return true
 		}
 		callee := cg.resolve(call)
 		if callee == nil {
@@ -314,11 +309,8 @@ func recvWithPeer(u *Unit, e ast.Expr, iv string) bool {
 		if !ok {
 			return true
 		}
-		switch commCallName(call) {
-		case "Recv":
-			if u.clusterCall(call) && len(call.Args) == 3 && mentionsIdent(call.Args[1], iv) {
-				found = true
-			}
+		if op, ok := u.commOp(call); ok && op.name == "Recv" && mentionsIdent(op.peer, iv) {
+			found = true
 		}
 		return true
 	})

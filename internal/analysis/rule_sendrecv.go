@@ -28,20 +28,17 @@ func checkSendRecv(u *Unit, r *reporter) {
 			if !ok {
 				return true
 			}
-			name := commCallName(call)
-			switch name {
-			case "Send":
-				if len(call.Args) != 4 {
-					return true
-				}
-				if v, ok := intValue(call.Args[2], consts); ok {
+			op, ok := u.commOp(call)
+			if !ok {
+				return true
+			}
+			switch op.kind {
+			case opSend:
+				if v, ok := intValue(op.tag, consts); ok {
 					sends = append(sends, sendSite{tag: v, pos: call.Pos()})
 				}
-			case "Recv", "RecvFrom", "TryRecv":
-				if len(call.Args) != 3 {
-					return true
-				}
-				if v, ok := intValue(call.Args[2], consts); ok {
+			case opRecv:
+				if v, ok := intValue(op.tag, consts); ok {
 					if v == -1 { // cluster.AnyTag
 						wildcardRecv = true
 					} else {
@@ -50,10 +47,9 @@ func checkSendRecv(u *Unit, r *reporter) {
 				} else {
 					wildcardRecv = true // dynamic tag: could match anything
 				}
-			case "SendRecv":
-				// Self-matching exchange: posts the send and the receive
-				// with the same tag, so it can never orphan a tag.
 			}
+			// A SendRecv matches itself: it posts the send and the receive
+			// with the same tag, so it can never orphan a tag.
 			return true
 		})
 	}
@@ -67,34 +63,6 @@ func checkSendRecv(u *Unit, r *reporter) {
 				"Send with tag %d has no matching Recv tag anywhere in this package — the message can never be received", s.tag)
 		}
 	}
-}
-
-// commCallName extracts the bare function name of a cluster point-to-point
-// call: Send(...), cluster.Send(...), cluster.Recv[int](...), etc.
-func commCallName(call *ast.CallExpr) string {
-	fun := call.Fun
-	for {
-		switch x := fun.(type) {
-		case *ast.IndexExpr:
-			fun = x.X
-		case *ast.IndexListExpr:
-			fun = x.X
-		case *ast.ParenExpr:
-			fun = x.X
-		default:
-			goto done
-		}
-	}
-done:
-	switch x := fun.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		if _, ok := x.X.(*ast.Ident); ok {
-			return x.Sel.Name
-		}
-	}
-	return ""
 }
 
 // collectIntConsts resolves package-level integer constant declarations of

@@ -16,10 +16,6 @@ import (
 // implement no CloneWire, and CloneWire implementations that return
 // shallow copies.
 func checkWireSafe(u *Unit, r *reporter) {
-	u.ensureTypes()
-	if u.info == nil {
-		return
-	}
 	for _, f := range u.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
@@ -35,39 +31,26 @@ func checkWireSafe(u *Unit, r *reporter) {
 
 // wireCheckCall applies the lattice to one payload site.
 func (u *Unit) wireCheckCall(call *ast.CallExpr, r *reporter) {
-	if !u.clusterCall(call) {
-		return // same-named function outside the cluster vocabulary
-	}
-	var payload ast.Expr
-	var opName string
-	if cc, ok := asCollective(call); ok {
-		if i := collPayloadIndex(cc.name); i >= 0 && i < len(call.Args) {
-			payload = call.Args[i]
-			opName = cc.name
-		}
-	} else if name := commCallName(call); (name == "Send" || name == "SendRecv") && len(call.Args) == 4 {
-		payload = call.Args[3]
-		opName = name
-	}
-	if payload == nil {
+	op, ok := u.commOp(call)
+	if !ok || op.payload == nil {
 		return
 	}
-	t := u.info.TypeOf(payload)
+	t := u.info.TypeOf(op.payload)
 	if t == nil {
 		return
 	}
 	if v := u.wireSafety(t); v.class == wireBad {
-		r.report("wiresafe", payload.Pos(),
+		r.report("wiresafe", op.payload.Pos(),
 			"payload of %s has wire-unsafe type %s: %s — a network transport cannot encode it (works in-process only by pointer passing)",
-			opName, types.TypeString(t, relativeTo(u.typesPkg)), v.reason)
+			op.name, types.TypeString(t, relativeTo(u.typesPkg)), v.reason)
 		return
 	}
 	// Allreduce snapshots each contribution via clonePayload; a payload
 	// carrying references with no CloneWire gets a shallow snapshot, so
 	// concurrent reduction steps observe each other's mutations.
-	if opName == "Allreduce" &&
+	if op.name == "Allreduce" &&
 		u.hasReferenceParts(t, true) && !hasCloneWire(t) {
-		r.report("wiresafe", payload.Pos(),
+		r.report("wiresafe", op.payload.Pos(),
 			"Allreduce payload type %s contains shared references but implements no CloneWire; the reduction cannot snapshot contributions — implement cluster.Cloner or use a flat payload",
 			types.TypeString(t, relativeTo(u.typesPkg)))
 	}

@@ -526,56 +526,28 @@ func (s *summarizer) callEffects(call *ast.CallExpr, params map[string]bool, dep
 	for _, a := range call.Args {
 		out = append(out, s.exprEffects(a, params, depth)...)
 	}
-	if cc, ok := asCollective(call); ok {
-		eff := Effect{Kind: EffColl, Op: cc.name, Comm: cc.comm, Pos: call.Pos()}
-		if i := collPayloadIndex(cc.name); i >= 0 {
-			eff.Payload = paramArgName(call, i, params)
+	if op, ok := s.u.commOp(call); ok {
+		eff := Effect{Op: op.name, Comm: identName(op.comm), Pos: call.Pos(), Payload: paramName(op.payload, params)}
+		if op.kind != opColl {
+			eff.Peer, eff.Tag = s.classify(op.peer, params), s.classify(op.tag, params)
 		}
-		out = append(out, eff)
-		return out
-	}
-	name := commCallName(call)
-	switch name {
-	case "Send":
-		if len(call.Args) == 4 {
-			out = append(out, Effect{
-				Kind: EffSend, Op: name, Comm: argIdent(call, 0), Pos: call.Pos(),
-				Peer:    s.classify(call.Args[1], params),
-				Tag:     s.classify(call.Args[2], params),
-				Payload: paramArgName(call, 3, params),
-			})
-			return out
+		switch op.kind {
+		case opColl:
+			eff.Kind = EffColl
+		case opSend:
+			eff.Kind = EffSend
+		case opRecv:
+			eff.Kind, eff.Blocking = EffRecv, op.name != "TryRecv"
+		case opSendRecv:
+			// A paired exchange posts the send, then blocks on the
+			// matching receive with the same tag.
+			recv := eff
+			recv.Kind, recv.Blocking, recv.Payload = EffRecv, true, ""
+			eff.Kind = EffSend
+			out = append(out, eff)
+			eff = recv
 		}
-	case "Recv", "RecvFrom":
-		if len(call.Args) == 3 {
-			out = append(out, Effect{
-				Kind: EffRecv, Op: name, Comm: argIdent(call, 0), Pos: call.Pos(), Blocking: true,
-				Peer: s.classify(call.Args[1], params),
-				Tag:  s.classify(call.Args[2], params),
-			})
-			return out
-		}
-	case "TryRecv":
-		if len(call.Args) == 3 {
-			out = append(out, Effect{
-				Kind: EffRecv, Op: name, Comm: argIdent(call, 0), Pos: call.Pos(), Blocking: false,
-				Peer: s.classify(call.Args[1], params),
-				Tag:  s.classify(call.Args[2], params),
-			})
-			return out
-		}
-	case "SendRecv":
-		// A paired exchange: posts the send, then blocks on the matching
-		// receive with the same tag.
-		if len(call.Args) == 4 {
-			peer := s.classify(call.Args[1], params)
-			tag := s.classify(call.Args[2], params)
-			out = append(out,
-				Effect{Kind: EffSend, Op: name, Comm: argIdent(call, 0), Pos: call.Pos(), Peer: peer, Tag: tag,
-					Payload: paramArgName(call, 3, params)},
-				Effect{Kind: EffRecv, Op: name, Comm: argIdent(call, 0), Pos: call.Pos(), Blocking: true, Peer: peer, Tag: tag})
-			return out
-		}
+		return append(out, eff)
 	}
 	callee := s.cg.resolve(call)
 	if callee == nil || depth >= maxSpliceDepth {
@@ -736,36 +708,10 @@ func mentionsRank(n ast.Node) bool {
 	return found
 }
 
-// collPayloadIndex returns the payload argument position of a collective
-// by name, or -1 for collectives that carry no user payload (Barrier,
-// Split). The positions mirror internal/cluster's signatures.
-func collPayloadIndex(name string) int {
-	switch name {
-	case "Bcast", "Reduce", "Gather", "Scatter":
-		return 2 // (comm, root, v, ...)
-	case "Allreduce", "Allgather", "Alltoall", "Scan":
-		return 1 // (comm, v, ...)
-	}
-	return -1
-}
-
-// paramArgName returns the name of argument i when it is a bare
-// identifier naming one of the current function's parameters, else "".
-func paramArgName(call *ast.CallExpr, i int, params map[string]bool) string {
-	if i < len(call.Args) {
-		if id, ok := call.Args[i].(*ast.Ident); ok && params[id.Name] {
-			return id.Name
-		}
-	}
-	return ""
-}
-
-// argIdent returns the identifier name of argument i, or "".
-func argIdent(call *ast.CallExpr, i int) string {
-	if i >= len(call.Args) {
-		return ""
-	}
-	if id, ok := call.Args[i].(*ast.Ident); ok {
+// paramName returns the name of e when it is a bare identifier naming one
+// of the current function's parameters, else "".
+func paramName(e ast.Expr, params map[string]bool) string {
+	if id, ok := e.(*ast.Ident); ok && params[id.Name] {
 		return id.Name
 	}
 	return ""
@@ -833,8 +779,10 @@ func formatOperand(o operand) string {
 }
 
 // SummarizeUnit builds summaries for every declaration in the unit,
-// sorted by name — the entry point the golden-summary tests use.
+// sorted by name — the entry point the golden-summary tests use. Like
+// Analyze, it type-checks the unit first: commOp needs the types.
 func SummarizeUnit(u *Unit) []*FuncSummary {
+	u.ensureTypes()
 	s := u.summaries()
 	var out []*FuncSummary
 	for _, fd := range s.cg.decls {

@@ -52,3 +52,19 @@ func hierarchicalReduction(c *Comm) {
 		_ = total
 	}
 }
+
+// phaseLog is not a communicator: its Barrier only closes a rank-local
+// phase, so one rank may call it alone. The call reaches it through a
+// struct field, and only the method's receiver type tells it from
+// Comm.Barrier.
+type phaseLog struct{ closed int }
+
+func (p *phaseLog) Barrier() { p.closed++ }
+
+type worker struct{ log *phaseLog }
+
+func rootClosesPhase(c *Comm, w *worker) {
+	if c.Rank() == 0 {
+		w.log.Barrier()
+	}
+}

@@ -1,6 +1,7 @@
 // Package fixture holds self-contained peachyvet test inputs. The stubs
-// mirror the shapes of the cluster API; the rules match by name, so no
-// import of the real package is needed.
+// mirror the shapes of the cluster API; the rules match by name and by the
+// Comm receiver or first parameter, so no import of the real package is
+// needed.
 package fixture
 
 type Comm struct{}

@@ -1,6 +1,7 @@
 // Package fixture holds self-contained peachyvet test inputs for the
 // interprocedural protocol rule. The stubs mirror the cluster API shapes;
-// rules match by name, so no import of the real package is needed.
+// rules match by name and by the Comm receiver or first parameter, so no
+// import of the real package is needed.
 package fixture
 
 type Comm struct{}

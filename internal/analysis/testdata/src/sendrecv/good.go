@@ -20,3 +20,13 @@ func pingPong(c *Comm) {
 		_ = Recv(c, 0, 8)
 	}
 }
+
+// outbox is a local mail queue, not a communicator: its Send takes no
+// Comm, so tag 55 needs no matching Recv.
+type outbox struct{ queued []string }
+
+func (o *outbox) Send(from, to, tag int, body string) { o.queued = append(o.queued, body) }
+
+func queueGreeting(o *outbox) {
+	o.Send(0, 1, 55, "hello")
+}

@@ -68,32 +68,3 @@ func TestByteSizePinsEveryCase(t *testing.T) {
 		})
 	}
 }
-
-// TestUnknownSizeHook: payloads the model cannot size must invoke the
-// hook (so experiments can fail fast on silent 64-byte estimates), while
-// every known type must bypass it.
-func TestUnknownSizeHook(t *testing.T) {
-	saved := UnknownSizeHook
-	defer func() { UnknownSizeHook = saved }()
-
-	var seen []any
-	UnknownSizeHook = func(v any) { seen = append(seen, v) }
-
-	if got := byteSize(opaquePayload{3, 4}); got != 64 {
-		t.Errorf("unknown payload charged %d bytes, want flat 64", got)
-	}
-	if len(seen) != 1 {
-		t.Fatalf("hook called %d times, want 1", len(seen))
-	}
-	if p, ok := seen[0].(opaquePayload); !ok || p != (opaquePayload{3, 4}) {
-		t.Errorf("hook saw %#v, want the offending payload", seen[0])
-	}
-
-	seen = nil
-	for _, known := range []any{nil, true, int64(1), complex128(1), uintptr(1), "x", []float64{1}, [][]float64{{1}}, wireSized{n: 5}} {
-		byteSize(known)
-	}
-	if len(seen) != 0 {
-		t.Errorf("hook fired for known types: %#v", seen)
-	}
-}

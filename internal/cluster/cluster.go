@@ -830,19 +830,9 @@ func byteSize(v any) int {
 	default:
 		// Unknown payloads get a flat estimate; implement Sizer for
 		// anything whose size matters to an experiment.
-		if UnknownSizeHook != nil {
-			UnknownSizeHook(v)
-		}
 		return 64
 	}
 }
-
-// UnknownSizeHook, when non-nil, is called with every payload whose wire
-// size byteSize cannot derive (such payloads are charged a flat 64 bytes).
-// Experiments that depend on exact byte accounting can set it to log the
-// offending types or fail fast. It must be set before any World runs and
-// must be safe for concurrent calls.
-var UnknownSizeHook func(v any)
 
 // Sizer lets custom payload types report their wire size to the cost model.
 type Sizer interface {

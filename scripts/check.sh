@@ -11,8 +11,8 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
-echo "== gofmt -l (tracked Go files; testdata/ holds deliberately unparsable fixtures)"
-unformatted=$(git ls-files '*.go' | grep -Ev '(^|/)testdata/' | xargs gofmt -l)
+echo "== gofmt -l (tracked Go files but the analyzer's deliberately unparsable loaderr fixture)"
+unformatted=$(git ls-files '*.go' | grep -vx 'internal/analysis/testdata/src/loaderr/broken.go' | xargs gofmt -l)
 if [ -n "$unformatted" ]; then
 	echo "check.sh: ERROR: gofmt would reformat these files:" >&2
 	echo "$unformatted" >&2
