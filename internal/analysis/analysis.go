@@ -9,11 +9,14 @@
 // rules, the same hazards MPI correctness tools (MUST, Marmot) check for
 // real MPI programs:
 //
-//	collective — collective calls inside rank-divergent branches that are
-//	            not matched on the other arm (or that follow a
-//	            rank-guarded early return)
+//	collective — a rank-divergent if or switch whose arms run different
+//	            collective sequences (a rank-guarded early return
+//	            included), visible without expanding calls
 //	sendrecv   — Send with a constant tag that no Recv in the package
-//	            could ever match
+//	            could ever match, visible without expanding calls
+//	protocol   — the same two defects when only call expansion shows
+//	            them, blocking Recvs no Send produces, and collectives
+//	            under rank-dependent trip counts
 //	useaftersend — a sent or collectively-shared buffer (or an alias of
 //	            it) is written before a happens-after sync point; the
 //	            in-process transport passes pointers, so the receiver
@@ -55,10 +58,12 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Msg)
 }
 
-// AllRules lists every rule name in reporting order. The protocol and
-// deadlock rules are interprocedural: they analyze per-function
-// communication summaries propagated over the unit's call graph (see
-// summary.go) rather than single function bodies.
+// AllRules lists every rule name in reporting order. The collective,
+// sendrecv, protocol and deadlock rules read per-function communication
+// summaries propagated over the unit's call graph (see summary.go). The
+// first three are views of one pass (rule_protocol.go): collective and
+// sendrecv report what each function's own effects show, protocol what
+// only call expansion shows.
 // The ownership and wire-safety rules (useaftersend, recvalias,
 // wiresafe) are likewise interprocedural: they combine the communication
 // summaries with per-function mutation summaries (mutation.go) and a
@@ -111,6 +116,23 @@ func (r *reporter) report(rule string, pos token.Pos, format string, args ...any
 		return
 	}
 	r.findings = append(r.findings, Finding{Pos: p, Rule: rule, Msg: fmt.Sprintf(format, args...)})
+}
+
+// rawFinding is a finding of an engine that several rules share. The
+// engine runs once per unit, and each rule replays its own findings
+// through the reporter, so -rules and //peachyvet:allow act per rule.
+type rawFinding struct {
+	rule string
+	pos  token.Pos
+	msg  string
+}
+
+func (r *reporter) replay(finds []rawFinding, rule string) {
+	for _, f := range finds {
+		if f.rule == rule {
+			r.report(f.rule, f.pos, "%s", f.msg)
+		}
+	}
 }
 
 type checkFunc func(u *Unit, r *reporter)

@@ -101,11 +101,15 @@ func TestRulesAgainstFixtures(t *testing.T) {
 }
 
 // TestRepositoryIsClean is the self-test: the real repo must come up
-// clean under every rule (fixtures are under testdata and skipped). It
-// also checks that each package is type-checked once: every repro/...
-// import resolves to the *types.Package of the unit the run loaded.
+// clean under every rule (fixtures are under testdata and skipped). The
+// findings its //peachyvet:allow directives suppress are pinned too: the
+// same units, analyzed again with the directives cleared, must print
+// testdata/golden/raw_findings.txt. It also checks that each package is
+// type-checked once: every repro/... import resolves to the
+// *types.Package of the unit the run loaded.
 func TestRepositoryIsClean(t *testing.T) {
-	units, err := Load([]string{"../../..."})
+	const root = "../.."
+	units, err := Load([]string{root + "/..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +121,19 @@ func TestRepositoryIsClean(t *testing.T) {
 			t.Errorf("repo not clean: %s", f)
 		}
 	}
+	var raw bytes.Buffer
+	for _, u := range units {
+		u.allowLines = map[string]map[int]map[string]bool{}
+		for _, f := range Analyze(u, DefaultConfig()) {
+			rel, err := filepath.Rel(root, f.Pos.Filename)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Pos.Filename = filepath.ToSlash(rel)
+			fmt.Fprintln(&raw, f)
+		}
+	}
+	checkGolden(t, filepath.Join("testdata", "golden", "raw_findings.txt"), raw.Bytes())
 	loaded := map[string]*types.Package{}
 	for _, u := range units {
 		if u.typesPkg != nil {

@@ -2,22 +2,19 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // callGraph is the per-unit static call graph the interprocedural rules
 // walk. Nodes are the unit's function declarations; edges are call sites
-// whose callee resolves to another declaration in the same unit. Bare
-// identifier calls resolve to the like-named function; method calls
-// resolve by selector name when the unit declares exactly one method with
-// that name (ambiguous names stay unresolved — summaries then treat the
-// call as having no communication effects, which keeps the engine
-// conservative rather than wrong).
+// whose callee go/types resolves to another declaration in the same unit.
+// A call through an interface, a func value or another package has no
+// edge: summaries then treat it as having no communication effects, which
+// keeps the engine conservative rather than wrong.
 type callGraph struct {
-	// byName maps a plain function name to its declaration.
-	byName map[string]*ast.FuncDecl
-	// methodByName maps a method name to its declaration when the unit
-	// declares exactly one method of that name; ambiguous names are absent.
-	methodByName map[string]*ast.FuncDecl
+	info *types.Info
+	// decl maps each declared function and method to its declaration.
+	decl map[*types.Func]*ast.FuncDecl
 	// callers maps a declaration to the set of declarations that call it
 	// (calls made inside function literals count for the enclosing decl).
 	callers map[*ast.FuncDecl]map[*ast.FuncDecl]bool
@@ -28,11 +25,10 @@ type callGraph struct {
 // buildCallGraph indexes the unit's declarations and call edges.
 func buildCallGraph(u *Unit) *callGraph {
 	cg := &callGraph{
-		byName:       map[string]*ast.FuncDecl{},
-		methodByName: map[string]*ast.FuncDecl{},
-		callers:      map[*ast.FuncDecl]map[*ast.FuncDecl]bool{},
+		info:    u.info,
+		decl:    map[*types.Func]*ast.FuncDecl{},
+		callers: map[*ast.FuncDecl]map[*ast.FuncDecl]bool{},
 	}
-	ambiguous := map[string]bool{}
 	for _, f := range u.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -40,17 +36,9 @@ func buildCallGraph(u *Unit) *callGraph {
 				continue
 			}
 			cg.decls = append(cg.decls, fd)
-			if fd.Recv == nil {
-				cg.byName[fd.Name.Name] = fd
-				continue
+			if fn, ok := u.info.Defs[fd.Name].(*types.Func); ok {
+				cg.decl[fn] = fd
 			}
-			name := fd.Name.Name
-			if _, dup := cg.methodByName[name]; dup || ambiguous[name] {
-				delete(cg.methodByName, name)
-				ambiguous[name] = true
-				continue
-			}
-			cg.methodByName[name] = fd
 		}
 	}
 	for _, fd := range cg.decls {
@@ -73,40 +61,21 @@ func buildCallGraph(u *Unit) *callGraph {
 }
 
 // resolve returns the unit-local declaration a call targets, or nil. The
-// communication vocabulary itself (Send, Recv, Barrier, ...) is never
-// resolved: those calls are effects, not edges — except when the unit
-// genuinely declares a like-named function (the fixture stubs do), in
-// which case the declaration still wins for edge purposes; the summary
-// builder classifies the effect before consulting the graph, so stubs do
-// not swallow effects.
+// fixture stubs declare the communication vocabulary itself, so a Send
+// can resolve to its stub; the summary builder classifies the effect
+// before consulting the graph, so stubs do not swallow effects.
 func (cg *callGraph) resolve(call *ast.CallExpr) *ast.FuncDecl {
-	fun := call.Fun
-	for {
-		switch x := fun.(type) {
-		case *ast.IndexExpr:
-			fun = x.X
-		case *ast.IndexListExpr:
-			fun = x.X
-		case *ast.ParenExpr:
-			fun = x.X
-		default:
-			goto resolved
-		}
-	}
-resolved:
-	switch x := fun.(type) {
+	var id *ast.Ident
+	switch fun := unwrapCallFun(call).(type) {
 	case *ast.Ident:
-		return cg.byName[x.Name]
+		id = fun
 	case *ast.SelectorExpr:
-		if id, ok := x.X.(*ast.Ident); ok {
-			// A package-qualified call (pkg.Func) never targets a unit-local
-			// method; a receiver call (recv.Method) never targets a
-			// unit-local package function. Distinguish by what we have: a
-			// method of this name wins, since same-unit selector calls are
-			// almost always method calls on local types.
-			_ = id
-			return cg.methodByName[x.Sel.Name]
-		}
+		id = fun.Sel
+	default:
+		return nil
+	}
+	if fn, ok := cg.info.Uses[id].(*types.Func); ok {
+		return cg.decl[fn.Origin()]
 	}
 	return nil
 }

@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -12,12 +14,19 @@ var rankIdentNames = map[string]bool{
 }
 
 // isRankExpr reports whether e denotes this rank's id; comm names the
-// communicator identifier when derivable ("" when not).
-func isRankExpr(e ast.Expr) (comm string, ok bool) {
+// communicator identifier when derivable ("" when not). A bare identifier
+// named like a rank counts only when it is an integer, or when go/types
+// could not type it: a string named rank is not one.
+func (u *Unit) isRankExpr(e ast.Expr) (comm string, ok bool) {
 	switch x := e.(type) {
 	case *ast.Ident:
 		if rankIdentNames[x.Name] || strings.HasSuffix(x.Name, "Rank") {
-			return "", true
+			t := u.info.TypeOf(x)
+			if t == nil {
+				return "", true
+			}
+			b, isBasic := t.Underlying().(*types.Basic)
+			return "", isBasic && (b.Info()&types.IsInteger != 0 || b.Kind() == types.Invalid)
 		}
 	case *ast.CallExpr:
 		if sel, isSel := x.Fun.(*ast.SelectorExpr); isSel && sel.Sel.Name == "Rank" && len(x.Args) == 0 {
@@ -38,7 +47,7 @@ type rankComparison struct {
 
 // rankCond scans a boolean condition for comparisons against the rank.
 // It descends through && and || and parentheses.
-func rankCond(e ast.Expr) []rankComparison {
+func (u *Unit) rankCond(e ast.Expr) []rankComparison {
 	var out []rankComparison
 	var walk func(ast.Expr)
 	walk = func(e ast.Expr) {
@@ -55,9 +64,9 @@ func rankCond(e ast.Expr) []rankComparison {
 				walk(x.X)
 				walk(x.Y)
 			case token.EQL, token.NEQ, token.LSS, token.GTR, token.LEQ, token.GEQ:
-				if comm, ok := isRankExpr(x.X); ok {
+				if comm, ok := u.isRankExpr(x.X); ok {
 					out = append(out, rankComparison{comm: comm, op: x.Op})
-				} else if comm, ok := isRankExpr(x.Y); ok {
+				} else if comm, ok := u.isRankExpr(x.Y); ok {
 					out = append(out, rankComparison{comm: comm, op: flipCmp(x.Op)})
 				}
 			}
@@ -81,29 +90,16 @@ func flipCmp(op token.Token) token.Token {
 	return op // EQL, NEQ symmetric
 }
 
-// collectColls gathers, in source order, the collective calls under n that
-// involve communicator comm (calls whose communicator cannot be derived
-// are included; calls on a different, known communicator are not). It
-// does not descend into nested function literals.
-func collectColls(u *Unit, n ast.Node, comm string) []commCall {
-	var out []commCall
-	if n == nil {
-		return nil
-	}
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch c := x.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if op, ok := u.commOp(c); ok && op.kind == opColl {
-				if on := identName(op.comm); comm == "" || on == "" || on == comm {
-					out = append(out, op)
-				}
-			}
+// constInt returns e's value when go/types folded e to an integer
+// constant: a literal, an iota or derived constant, or another package's
+// constant. A variable is never one, even when it shadows a constant.
+func (u *Unit) constInt(e ast.Expr) (int, bool) {
+	if tv, ok := u.info.Types[e]; ok && tv.Value != nil {
+		if v, exact := constant.Int64Val(constant.ToInt(tv.Value)); exact {
+			return int(v), true
 		}
-		return true
-	})
-	return out
+	}
+	return 0, false
 }
 
 // terminates reports whether the last statement of a block unconditionally

@@ -11,8 +11,8 @@ import (
 
 // TestGoldenSummaries pins the communication-summary builder's output on
 // the summary fixture: symbolic parameters, call splicing with constant
-// binding, divergent branches and rank-dependent loops all render to the
-// exact golden strings below.
+// binding, divergent branches, rank-guarded early returns and
+// rank-dependent loops all render to the exact golden strings below.
 func TestGoldenSummaries(t *testing.T) {
 	units, err := Load([]string{filepath.Join("testdata", "src", "summary")})
 	if err != nil {
@@ -22,9 +22,10 @@ func TestGoldenSummaries(t *testing.T) {
 		t.Fatalf("expected 1 unit, got %d", len(units))
 	}
 	golden := map[string]string{
-		"helperSend": "Send[t=$tag d=$dst]",
-		"sendData":   "Send@helperSend[t=7 d=2]",
-		"phase":      "branch(rank){[Bcast] [Bcast]}; loop(rank-trips){Send[t=7 d=?]}",
+		"helperSend":     "Send[t=$tag d=$dst]",
+		"sendData":       "Send@helperSend[t=7 d=2]",
+		"phase":          "branch(rank){[Bcast] [Bcast]}; loop(rank-trips){Send[t=7 d=?]}",
+		"guardedBarrier": "branch(rank){[] [Barrier]}",
 	}
 	got := map[string]string{}
 	for _, sum := range SummarizeUnit(units[0]) {

@@ -41,7 +41,10 @@ type Unit struct {
 	wireCache map[types.Type]wireVerdict // encodability verdicts per type
 
 	ownOnce  bool         // ownership dataflow ran (shared by two rules)
-	ownFinds []ownFinding // its raw findings, filtered per enabled rule
+	ownFinds []rawFinding // its raw findings, filtered per enabled rule
+
+	spmdOnce  bool         // the SPMD protocol pass ran (shared by three rules)
+	spmdFinds []rawFinding // its raw findings, filtered per enabled rule
 
 	imp       *lenientImporter // shared by every unit of one Load
 	path      string           // import path: Rel outside a module

@@ -17,8 +17,8 @@ import (
 )
 
 // crossmodDir is a fixture module of its own (module crossmod). Its app
-// package sends a wire-unsafe payload type declared in crossmod/wire, and
-// its cycle/a and cycle/b packages import each other.
+// package sends a wire-unsafe payload type and tags declared in
+// crossmod/wire, and its cycle/a and cycle/b packages import each other.
 var crossmodDir = filepath.Join("testdata", "src", "crossmod")
 
 // TestCrossModuleImports pins how module-local imports resolve: to the
@@ -30,7 +30,7 @@ func TestCrossModuleImports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := wantMarkers(t, app, "wiresafe")
+	wire, tags := wantMarkers(t, app, "wiresafe"), wantMarkers(t, app, "sendrecv")
 	var first []string
 	for _, env := range []string{"", "off", "on"} {
 		if env != "" {
@@ -47,9 +47,9 @@ func TestCrossModuleImports(t *testing.T) {
 					got = append(got, fmt.Sprintf("%s:%d: [%s] %s", filepath.Base(f.Pos.Filename), f.Pos.Line, f.Rule, f.Msg))
 				}
 			}
-			if len(got) != 1 || !want[strings.SplitN(got[0], ": ", 2)[0]] ||
-				!strings.Contains(got[0], "[wiresafe] payload of Send has wire-unsafe type crossmod/wire.Msg") {
-				t.Errorf("GO111MODULE=%q, Load(%s): want one wiresafe finding on the WANT line naming crossmod/wire.Msg, got %q", env, pattern, got)
+			if len(got) != 2 || !wire[strings.SplitN(got[0], ": ", 2)[0]] || !tags[strings.SplitN(got[1], ": ", 2)[0]] ||
+				!strings.Contains(got[0], "[wiresafe] payload of Send has wire-unsafe type crossmod/wire.Msg") || !strings.Contains(got[1], "[sendrecv] ") {
+				t.Errorf("GO111MODULE=%q, Load(%s): want the wiresafe finding naming crossmod/wire.Msg and the sendrecv finding, each on its WANT line, got %q", env, pattern, got)
 			}
 			if first == nil {
 				first = got

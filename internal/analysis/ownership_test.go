@@ -49,12 +49,18 @@ func TestSARIFRuleMetadata(t *testing.T) {
 	if err := WriteSARIF(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "golden", "sarif_rules.json")
+	checkGolden(t, filepath.Join("testdata", "golden", "sarif_rules.json"), buf.Bytes())
+}
+
+// checkGolden compares got with the golden file, first rewriting the file
+// when the test runs with -update.
+func checkGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,8 +68,8 @@ func TestSARIFRuleMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("SARIF rule metadata drifted from %s; run with -update if intentional\ngot:\n%s", golden, buf.String())
+	if !bytes.Equal(got, want) {
+		t.Errorf("output drifted from %s; run with -update if intentional\ngot:\n%s", golden, got)
 	}
 }
 

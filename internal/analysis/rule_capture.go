@@ -117,7 +117,7 @@ func analyzeClosure(u *Unit, r *reporter, lit *ast.FuncLit, label string, taintP
 			}
 		}
 	}
-	tainted := rankTaint(lit, seed)
+	tainted := rankTaint(u, lit, seed)
 
 	captured := func(id *ast.Ident) bool {
 		if id.Name == "_" {
@@ -140,7 +140,7 @@ func analyzeClosure(u *Unit, r *reporter, lit *ast.FuncLit, label string, taintP
 		safe := false
 		ast.Inspect(idx, func(n ast.Node) bool {
 			if e, ok := n.(ast.Expr); ok {
-				if _, isRank := isRankExpr(e); isRank {
+				if _, isRank := u.isRankExpr(e); isRank {
 					safe = true
 				}
 			}
@@ -225,7 +225,7 @@ func analyzeClosure(u *Unit, r *reporter, lit *ast.FuncLit, label string, taintP
 			if x.Init != nil {
 				walkStmt(x.Init, guarded)
 			}
-			thenGuard, elseGuard := branchGuards(x.Cond)
+			thenGuard, elseGuard := branchGuards(u, x.Cond)
 			walkBlock(x.Body, guarded || thenGuard)
 			switch e := x.Else.(type) {
 			case *ast.BlockStmt:
@@ -294,7 +294,7 @@ func analyzeClosure(u *Unit, r *reporter, lit *ast.FuncLit, label string, taintP
 // branchGuards reports whether the then/else arm of an if with this
 // condition is executed by exactly one rank. `rank == k && extra` still
 // guards the then-arm; any `||` voids the guarantee.
-func branchGuards(cond ast.Expr) (thenGuard, elseGuard bool) {
+func branchGuards(u *Unit, cond ast.Expr) (thenGuard, elseGuard bool) {
 	hasOr := false
 	ast.Inspect(cond, func(n ast.Node) bool {
 		if b, ok := n.(*ast.BinaryExpr); ok && b.Op == token.LOR {
@@ -305,7 +305,7 @@ func branchGuards(cond ast.Expr) (thenGuard, elseGuard bool) {
 	if hasOr {
 		return false, false
 	}
-	for _, cmp := range rankCond(cond) {
+	for _, cmp := range u.rankCond(cond) {
 		switch cmp.op {
 		case token.EQL:
 			thenGuard = true
@@ -339,7 +339,7 @@ func closureTakesLock(lit *ast.FuncLit) bool {
 // derive from the rank (or from the given seed names): seeded by
 // expressions mentioning Rank()/rank and propagated through assignments
 // and range statements to a fixpoint.
-func rankTaint(lit *ast.FuncLit, seed []string) map[string]bool {
+func rankTaint(u *Unit, lit *ast.FuncLit, seed []string) map[string]bool {
 	tainted := map[string]bool{}
 	for _, s := range seed {
 		if s != "_" {
@@ -350,7 +350,7 @@ func rankTaint(lit *ast.FuncLit, seed []string) map[string]bool {
 		hit := false
 		ast.Inspect(e, func(n ast.Node) bool {
 			if expr, ok := n.(ast.Expr); ok {
-				if _, isRank := isRankExpr(expr); isRank {
+				if _, isRank := u.isRankExpr(expr); isRank {
 					hit = true
 				}
 			}

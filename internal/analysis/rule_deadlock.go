@@ -64,6 +64,14 @@ func linearize(effects []Effect) (prog []simOp, ok bool) {
 		case EffColl:
 			prog = append(prog, simOp{kind: 'c', e: e})
 		case EffBranch:
+			if stay, ok := e.earlyReturn(); ok {
+				p, ok := linearize(stay)
+				if !ok {
+					return nil, false
+				}
+				prog = append(prog, p...)
+				continue
+			}
 			if e.Divergent {
 				return nil, false
 			}
@@ -339,7 +347,9 @@ func uniformScan(u *Unit, r *reporter, effects []Effect, avail, all *flight) {
 					e.Op, formatOperand(e.Tag), e.pathString())
 			}
 		case EffBranch:
-			if e.Divergent {
+			if stay, ok := e.earlyReturn(); ok {
+				uniformScan(u, r, stay, avail, all)
+			} else if e.Divergent {
 				for _, arm := range e.Arms {
 					collectSends(arm, avail)
 				}

@@ -38,32 +38,19 @@ import (
 func checkUseAfterSend(u *Unit, r *reporter) { ownershipRule(u, r, "useaftersend") }
 func checkRecvAlias(u *Unit, r *reporter)    { ownershipRule(u, r, "recvalias") }
 
-// ownFinding is a raw engine finding; the per-rule wrappers replay them
-// through the reporter so //peachyvet:allow applies per rule.
-type ownFinding struct {
-	rule string
-	pos  token.Pos
-	msg  string
-}
-
 func ownershipRule(u *Unit, r *reporter, rule string) {
 	if !u.ownOnce {
 		u.ownOnce = true
 		eng := &ownEngine{
-			u:      u,
-			sums:   u.summaries(),
-			muts:   u.mutations(),
-			consts: collectIntConsts(u),
-			seen:   map[string]bool{},
+			u:    u,
+			sums: u.summaries(),
+			muts: u.mutations(),
+			seen: map[string]bool{},
 		}
 		eng.run()
 		u.ownFinds = eng.finds
 	}
-	for _, f := range u.ownFinds {
-		if f.rule == rule {
-			r.report(f.rule, f.pos, "%s", f.msg)
-		}
-	}
+	r.replay(u.ownFinds, rule)
 }
 
 // bufRegion is a view of a tracked buffer: the canonical root plus a
@@ -184,9 +171,8 @@ type ownEngine struct {
 	u      *Unit
 	sums   *summarizer
 	muts   *mutAnalyzer
-	consts map[string]int
 	seen   map[string]bool
-	finds  []ownFinding
+	finds  []rawFinding
 	nextID int
 }
 
@@ -202,7 +188,7 @@ func (e *ownEngine) report(rule string, pos token.Pos, format string, args ...an
 		return
 	}
 	e.seen[key] = true
-	e.finds = append(e.finds, ownFinding{rule: rule, pos: pos, msg: fmt.Sprintf(format, args...)})
+	e.finds = append(e.finds, rawFinding{rule: rule, pos: pos, msg: fmt.Sprintf(format, args...)})
 }
 
 func (e *ownEngine) fresh(name string) string {
@@ -667,13 +653,13 @@ func (e *ownEngine) handleCall(call *ast.CallExpr, st *ownState) {
 				}
 			}
 		case opRecv:
-			st.clearPeer(renderPeer(op.peer, e.consts))
+			st.clearPeer(e.renderPeer(op.peer))
 		default: // Send, SendRecv
 			if e.payloadShares(op.payload) {
 				if reg, ok := e.resolveRef(op.payload, st); ok {
 					st.live[reg.root] = &liveInfo{
 						op: op.name, pos: call.Pos(), p2p: true,
-						peer: renderPeer(op.peer, e.consts),
+						peer: e.renderPeer(op.peer),
 					}
 				}
 			}
@@ -804,11 +790,11 @@ func (e *ownEngine) resolveRef(x ast.Expr, st *ownState) (bufRegion, bool) {
 		if base.whole {
 			lo, loOK := 0, true
 			if v.Low != nil {
-				lo, loOK = intValue(v.Low, e.consts)
+				lo, loOK = e.u.constInt(v.Low)
 			}
 			hi, hiOK := 0, false
 			if v.High != nil {
-				hi, hiOK = intValue(v.High, e.consts)
+				hi, hiOK = e.u.constInt(v.High)
 			}
 			if loOK && hiOK {
 				return bufRegion{root: base.root, lo: lo, hi: hi}, true
@@ -821,7 +807,7 @@ func (e *ownEngine) resolveRef(x ast.Expr, st *ownState) (bufRegion, bool) {
 			return bufRegion{}, false
 		}
 		if base.whole {
-			if i, iOK := intValue(v.Index, e.consts); iOK {
+			if i, iOK := e.u.constInt(v.Index); iOK {
 				return bufRegion{root: base.root, lo: i, hi: i + 1}, true
 			}
 		}
@@ -852,8 +838,8 @@ func (e *ownEngine) resolveRef(x ast.Expr, st *ownState) (bufRegion, bool) {
 // renderPeer renders a peer expression for sync matching: constants fold
 // to their value, identifiers and simple selectors to their spelling.
 // Unmatchable expressions render as "" (never equal to anything).
-func renderPeer(x ast.Expr, consts map[string]int) string {
-	if v, ok := intValue(x, consts); ok {
+func (e *ownEngine) renderPeer(x ast.Expr) string {
+	if v, ok := e.u.constInt(x); ok {
 		return fmt.Sprintf("%d", v)
 	}
 	switch v := x.(type) {
@@ -864,7 +850,7 @@ func renderPeer(x ast.Expr, consts map[string]int) string {
 			return id.Name + "." + v.Sel.Name
 		}
 	case *ast.ParenExpr:
-		return renderPeer(v.X, consts)
+		return e.renderPeer(v.X)
 	}
 	return ""
 }

@@ -4,40 +4,78 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"strings"
 )
 
-// checkProtocol runs the interprocedural protocol checks over the unit's
-// communication summaries:
+// This file reports the SPMD protocol: every rank runs the same
+// collectives in the same order, and every constant tag pairs up. One
+// pass over the unit's communication summaries (summary.go) finds each
+// defect and files it under one of three rules by what it takes to see
+// it:
 //
-//  1. cross-function collective-order mismatch: a rank-divergent branch
-//     whose arms execute different collective sequences once calls are
-//     expanded — the interprocedural completion of the `collective` rule,
-//     reported only when the mismatch is invisible intraprocedurally (the
-//     collective rule owns the rest);
-//  2. orphaned tags after interprocedural constant propagation: a Send
-//     whose tag becomes constant only through a call binding and that no
-//     Recv can match, and — the new direction — a blocking Recv with a
-//     constant tag no reachable Send produces;
-//  3. collectives inside loops whose trip count depends on the rank:
-//     ranks execute different numbers of the collective, which mismatches
-//     the SPMD sequence even though no single call site diverges.
-func checkProtocol(u *Unit, r *reporter) {
+//	collective — a rank-divergent branch (an if or a switch on the rank)
+//	             whose arms run different collective sequences, visible
+//	             without expanding calls
+//	sendrecv   — a Send whose constant tag no Recv in the package
+//	             matches, counting each function's own effects only
+//	protocol   — a collective mismatch or orphaned Send tag that only
+//	             call expansion shows; a blocking Recv with a constant
+//	             tag no reachable Send produces; a collective inside a
+//	             loop whose trip count depends on the rank
+//
+// No site is filed under two rules.
+
+func checkCollective(u *Unit, r *reporter) { spmdRule(u, r, "collective") }
+func checkSendRecv(u *Unit, r *reporter)   { spmdRule(u, r, "sendrecv") }
+func checkProtocol(u *Unit, r *reporter)   { spmdRule(u, r, "protocol") }
+
+func spmdRule(u *Unit, r *reporter, rule string) {
+	if !u.spmdOnce {
+		u.spmdOnce = true
+		u.spmdFinds = spmdPass(u)
+	}
+	r.replay(u.spmdFinds, rule)
+}
+
+// spmdScan accumulates the findings of one unit's pass.
+type spmdScan struct {
+	u          *Unit
+	seenBranch map[token.Pos]bool
+	seenColl   map[token.Pos]bool
+	finds      []rawFinding
+}
+
+func (p *spmdScan) report(rule string, pos token.Pos, format string, args ...any) {
+	p.finds = append(p.finds, rawFinding{rule: rule, pos: pos, msg: fmt.Sprintf(format, args...)})
+}
+
+// spmdPass walks the summary of every declaration and function literal,
+// then matches tags package-wide.
+func spmdPass(u *Unit) []rawFinding {
 	s := u.summaries()
-	seenBranch := map[token.Pos]bool{}
-	seenLoop := map[token.Pos]bool{}
+	p := &spmdScan{u: u, seenBranch: map[token.Pos]bool{}, seenColl: map[token.Pos]bool{}}
+	own, expanded := newTagCensus(), newTagCensus()
 	for _, fd := range s.cg.decls {
-		sum := s.funcSummary(fd)
-		checkCollMismatch(u, r, sum.Effects, nil, seenBranch)
-		checkRankTripLoops(u, r, sum.Effects, seenLoop)
+		effects := s.funcSummary(fd).Effects
+		p.walk(effects, nil)
+		own.add(effects, true)
+	}
+	// Expanded effects are enumerated from the call-graph roots, so each
+	// helper's sends and receives are seen with the most specific
+	// bindings its callers provide.
+	for _, fd := range s.cg.roots() {
+		expanded.add(s.funcSummary(fd).Effects, false)
 	}
 	eachFuncLit(u, func(lit *ast.FuncLit) {
-		sum := s.litSummary(lit)
-		checkCollMismatch(u, r, sum.Effects, nil, seenBranch)
-		checkRankTripLoops(u, r, sum.Effects, seenLoop)
+		effects := s.litSummary(lit).Effects
+		p.walk(effects, nil)
+		own.add(effects, true)
+		expanded.add(effects, false)
 	})
-	checkOrphanTags(u, r, s)
+	p.orphanTags(own, expanded)
+	return p.finds
 }
 
 // eachFuncLit visits every function literal in the unit once.
@@ -54,8 +92,8 @@ func eachFuncLit(u *Unit, visit func(lit *ast.FuncLit)) {
 
 // flattenColls linearizes the collective calls under a summary subtree in
 // source order (both arms of branches, loop bodies once), filtered to the
-// branch's communicator like the intraprocedural rule. intraOnly keeps
-// only effects visible without call expansion.
+// branch's communicator. intraOnly keeps only effects visible without
+// call expansion.
 func flattenColls(effects []Effect, comm string, intraOnly bool) []Effect {
 	var out []Effect
 	for _, e := range effects {
@@ -78,25 +116,27 @@ func flattenColls(effects []Effect, comm string, intraOnly bool) []Effect {
 	return out
 }
 
-// checkCollMismatch walks a summary sequence looking for rank-divergent
-// branches whose arms run different collective sequences from the branch
-// to the end of the function, with calls expanded. cont holds the
-// enclosing frames' continuations (the effects ranks fall through to).
-func checkCollMismatch(u *Unit, r *reporter, seq []Effect, cont []Effect, seen map[token.Pos]bool) {
+// walk visits every rank-divergent branch and every loop with a
+// rank-dependent trip count in a summary sequence. cont holds the
+// enclosing frames' continuations: the effects ranks fall through to.
+func (p *spmdScan) walk(seq []Effect, cont []Effect) {
 	for i, e := range seq {
 		rest := seq[i+1:]
 		switch e.Kind {
 		case EffBranch:
-			if e.Divergent && len(e.Path) == 0 && !seen[e.Pos] {
-				seen[e.Pos] = true
-				reportArmMismatch(u, r, e, rest, cont)
+			if e.Divergent && len(e.Path) == 0 && !p.seenBranch[e.Pos] {
+				p.seenBranch[e.Pos] = true
+				p.branch(e, concatEffects(rest, cont))
 			}
 			childCont := concatEffects(rest, cont)
 			for _, arm := range e.Arms {
-				checkCollMismatch(u, r, arm, childCont, seen)
+				p.walk(arm, childCont)
 			}
 		case EffLoop:
-			checkCollMismatch(u, r, e.Body, concatEffects(rest, cont), seen)
+			if e.RankTrips {
+				p.rankTrips(e)
+			}
+			p.walk(e.Body, concatEffects(rest, cont))
 		}
 	}
 }
@@ -113,45 +153,86 @@ func concatEffects(a, b []Effect) []Effect {
 	return append(out, b...)
 }
 
-// reportArmMismatch compares the expanded per-arm collective sequences of
-// one divergent branch and reports when they differ but the mismatch is
-// invisible without call expansion (the intraprocedural collective rule
-// reports the visible ones).
-func reportArmMismatch(u *Unit, r *reporter, br Effect, rest, cont []Effect) {
-	later := flattenColls(concatEffects(rest, cont), br.Comm, false)
-	laterIntra := flattenColls(concatEffects(rest, cont), br.Comm, true)
-
-	full := make([][]Effect, len(br.Arms))
-	intra := make([][]Effect, len(br.Arms))
+// armColls returns, for each arm of a rank-divergent branch, the
+// collectives ranks taking it run from the branch to the end of the
+// function: the arm's own, then, unless the arm leaves the function,
+// those of later.
+func armColls(br Effect, later []Effect, intraOnly bool) [][]Effect {
+	tail := flattenColls(later, br.Comm, intraOnly)
+	seqs := make([][]Effect, len(br.Arms))
 	for j, arm := range br.Arms {
-		full[j] = flattenColls(arm, br.Comm, false)
-		intra[j] = flattenColls(arm, br.Comm, true)
+		seqs[j] = flattenColls(arm, br.Comm, intraOnly)
 		if !br.Term[j] {
-			full[j] = append(append([]Effect{}, full[j]...), later...)
-			intra[j] = append(append([]Effect{}, intra[j]...), laterIntra...)
+			seqs[j] = append(seqs[j], tail...)
 		}
 	}
-	mismatch := false
-	for j := 1; j < len(full); j++ {
-		if !sameOpSeq(full[0], full[j]) {
-			mismatch = true
+	return seqs
+}
+
+// branch reports a rank-divergent branch whose arms run different
+// collective sequences: as collective when the arms differ without call
+// expansion, as protocol when only expansion shows the difference.
+func (p *spmdScan) branch(br Effect, later []Effect) {
+	intra := armColls(br, later, true)
+	if !sameArms(intra) {
+		labels, stmt := armLabels(br)
+		var arms []string
+		for j, ops := range intra {
+			arms = append(arms, fmt.Sprintf("%s calls [%s]", labels[j], describeColls(ops)))
 		}
-	}
-	if !mismatch {
+		p.report("collective", br.Pos,
+			"rank-divergent collective sequence: %s — every rank must execute the same collectives in the same order (sequences include calls after this %s)",
+			strings.Join(arms, ", "), stmt)
 		return
 	}
-	for j := 1; j < len(intra); j++ {
-		if !sameOpSeq(intra[0], intra[j]) {
-			return // visible without expansion: the collective rule owns it
-		}
+	full := armColls(br, later, false)
+	if sameArms(full) {
+		return
 	}
 	var arms []string
 	for j, ops := range full {
 		arms = append(arms, fmt.Sprintf("arm %d runs [%s]", j+1, describeColls(ops)))
 	}
-	r.report("protocol", br.Pos,
+	p.report("protocol", br.Pos,
 		"rank-divergent collective sequence across function calls: %s — every rank must execute the same collectives in the same order (sequences include calls after the branch)",
 		strings.Join(arms, ", "))
+}
+
+// armLabels names a branch's arms as its statement spells them: the then-
+// and else-arm of an if, or each case of a switch, with the implicit
+// default last when the switch has none. It also returns the statement's
+// keyword.
+func armLabels(br Effect) ([]string, string) {
+	sw, ok := br.stmt.(*ast.SwitchStmt)
+	if !ok {
+		return []string{"then-arm", "else-arm"}, "if"
+	}
+	var labels []string
+	for _, c := range sw.Body.List {
+		cc := c.(*ast.CaseClause)
+		if cc.List == nil {
+			labels = append(labels, "default")
+			continue
+		}
+		var exprs []string
+		for _, e := range cc.List {
+			exprs = append(exprs, types.ExprString(e))
+		}
+		labels = append(labels, "case "+strings.Join(exprs, ", "))
+	}
+	if len(labels) < len(br.Arms) {
+		labels = append(labels, "implicit default")
+	}
+	return labels, "switch"
+}
+
+func sameArms(seqs [][]Effect) bool {
+	for _, s := range seqs[1:] {
+		if !sameOpSeq(seqs[0], s) {
+			return false
+		}
+	}
+	return true
 }
 
 func sameOpSeq(a, b []Effect) bool {
@@ -177,111 +258,113 @@ func describeColls(ops []Effect) string {
 	return strings.Join(ns, ", ")
 }
 
-// checkRankTripLoops reports collectives inside loops whose trip count is
+// rankTrips reports the collectives inside a loop whose trip count is
 // rank-dependent, including collectives reached through calls.
-func checkRankTripLoops(u *Unit, r *reporter, effects []Effect, seen map[token.Pos]bool) {
-	for _, e := range effects {
+func (p *spmdScan) rankTrips(loop Effect) {
+	for _, coll := range flattenColls(loop.Body, "", false) {
+		if p.seenColl[coll.Pos] {
+			continue
+		}
+		p.seenColl[coll.Pos] = true
+		loopPos := p.u.Fset.Position(loop.Pos)
+		p.report("protocol", coll.Pos,
+			"collective %s%s inside the loop at %s:%d whose trip count depends on the rank — ranks execute different numbers of this collective, which mismatches the SPMD sequence",
+			coll.Op, coll.pathString(), filepath.Base(loopPos.Filename), loopPos.Line)
+	}
+}
+
+// tagCensus records the point-to-point tags a set of summaries uses.
+type tagCensus struct {
+	sends, recvs       []*Effect // constant-tag sends; blocking receives with a concrete constant tag
+	sendTags, recvTags map[int]bool
+	// anySend and anyRecv record a send or receive whose tag could be
+	// anything: a dynamic or still-symbolic tag, or AnyTag.
+	anySend, anyRecv bool
+}
+
+func newTagCensus() *tagCensus {
+	return &tagCensus{sendTags: map[int]bool{}, recvTags: map[int]bool{}}
+}
+
+// add records a summary's effects. own keeps only the summarized
+// function's own frame, leaving out what call expansion spliced in.
+func (t *tagCensus) add(effects []Effect, own bool) {
+	for i := range effects {
+		e := &effects[i]
+		if own && len(e.Path) > 0 {
+			continue
+		}
 		switch e.Kind {
-		case EffLoop:
-			if e.RankTrips {
-				for _, coll := range flattenColls(e.Body, "", false) {
-					if seen[coll.Pos] {
-						continue
-					}
-					seen[coll.Pos] = true
-					loopPos := u.Fset.Position(e.Pos)
-					r.report("protocol", coll.Pos,
-						"collective %s%s inside the loop at %s:%d whose trip count depends on the rank — ranks execute different numbers of this collective, which mismatches the SPMD sequence",
-						coll.Op, coll.pathString(), filepath.Base(loopPos.Filename), loopPos.Line)
-				}
+		case EffSend:
+			if e.Tag.class == valConst {
+				t.sendTags[e.Tag.val] = true
+				t.sends = append(t.sends, e)
+			} else {
+				t.anySend = true
 			}
-			checkRankTripLoops(u, r, e.Body, seen)
+		case EffRecv:
+			if e.Tag.class == valConst && e.Tag.val >= 0 {
+				t.recvTags[e.Tag.val] = true
+				if e.Blocking {
+					t.recvs = append(t.recvs, e)
+				}
+			} else {
+				t.anyRecv = true
+			}
 		case EffBranch:
 			for _, arm := range e.Arms {
-				checkRankTripLoops(u, r, arm, seen)
+				t.add(arm, own)
 			}
+		case EffLoop:
+			t.add(e.Body, own)
 		}
 	}
 }
 
-// checkOrphanTags matches constant point-to-point tags package-wide after
-// call expansion. Effects are enumerated from the call-graph roots (and
-// every function literal), so each helper's sends and receives are seen
-// with the most specific bindings its callers provide.
-func checkOrphanTags(u *Unit, r *reporter, s *summarizer) {
-	type site struct {
-		e Effect
-	}
-	var sends, recvs []site
-	sendTags := map[int]bool{}
-	recvTags := map[int]bool{}
-	unknownSend := false
-	wildcardRecv := false
-
-	var gather func(effects []Effect)
-	gather = func(effects []Effect) {
-		for _, e := range effects {
-			switch e.Kind {
-			case EffSend:
-				switch e.Tag.class {
-				case valConst:
-					sendTags[e.Tag.val] = true
-					sends = append(sends, site{e})
-				default:
-					// A dynamic or still-symbolic tag could produce anything
-					// (the function may be called from another package).
-					unknownSend = true
-				}
-			case EffRecv:
-				switch {
-				case e.Tag.class == valConst && e.Tag.val >= 0:
-					recvTags[e.Tag.val] = true
-					if e.Blocking {
-						recvs = append(recvs, site{e})
-					}
-				default:
-					// AnyTag, dynamic, or unbound symbolic: matches anything.
-					wildcardRecv = true
-				}
-			case EffBranch:
-				for _, arm := range e.Arms {
-					gather(arm)
-				}
-			case EffLoop:
-				gather(e.Body)
-			}
-		}
-	}
-	for _, fd := range s.cg.roots() {
-		gather(s.funcSummary(fd).Effects)
-	}
-	eachFuncLit(u, func(lit *ast.FuncLit) {
-		gather(s.litSummary(lit).Effects)
-	})
-
+// orphanTags matches constant tags package-wide. A receive whose tag
+// could be anything silences the send direction, and a send whose tag
+// could be anything silences the receive direction. The sendrecv view
+// counts each function's own frame; protocol reports the orphaned Sends
+// only call expansion shows: a tag a caller's argument makes constant,
+// or one the view could not judge because a receive's tag was a
+// parameter until its callers bound it.
+func (p *spmdScan) orphanTags(own, expanded *tagCensus) {
 	seen := map[token.Pos]bool{}
-	if !wildcardRecv {
-		for _, sd := range sends {
-			// Intraprocedurally constant tags are the sendrecv rule's
-			// territory; report only tags resolved by call binding.
-			if !sd.e.Tag.bound || recvTags[sd.e.Tag.val] || seen[sd.e.Pos] {
-				continue
+	if !own.anyRecv {
+		for _, sd := range own.sends {
+			if !own.recvTags[sd.Tag.val] {
+				seen[sd.Pos] = true
+				p.report("sendrecv", sd.Pos,
+					"Send with tag %d has no matching Recv tag anywhere in this package — the message can never be received", sd.Tag.val)
 			}
-			seen[sd.e.Pos] = true
-			r.report("protocol", sd.e.Pos,
-				"Send with tag %d%s has no matching Recv tag anywhere in this package — the tag is bound at the call site, so no run can receive this message",
-				sd.e.Tag.val, sd.e.pathString())
 		}
 	}
-	if !unknownSend {
-		for _, rc := range recvs {
-			if sendTags[rc.e.Tag.val] || seen[rc.e.Pos] {
+	if !expanded.anyRecv {
+		for _, sd := range expanded.sends {
+			// A tag some receive takes in its own frame is received, even
+			// where expansion stopped short of that receive.
+			if expanded.recvTags[sd.Tag.val] || own.recvTags[sd.Tag.val] || seen[sd.Pos] {
 				continue
 			}
-			seen[rc.e.Pos] = true
-			r.report("protocol", rc.e.Pos,
+			seen[sd.Pos] = true
+			why := "once calls are expanded, so no run can receive this message"
+			if sd.Tag.bound {
+				why = "— the tag is bound at the call site, so no run can receive this message"
+			}
+			p.report("protocol", sd.Pos,
+				"Send with tag %d%s has no matching Recv tag anywhere in this package %s",
+				sd.Tag.val, sd.pathString(), why)
+		}
+	}
+	if !expanded.anySend {
+		for _, rc := range expanded.recvs {
+			if expanded.sendTags[rc.Tag.val] || seen[rc.Pos] {
+				continue
+			}
+			seen[rc.Pos] = true
+			p.report("protocol", rc.Pos,
 				"blocking Recv with tag %d%s that no reachable Send produces — every rank executing this receive hangs forever",
-				rc.e.Tag.val, rc.e.pathString())
+				rc.Tag.val, rc.pathString())
 		}
 	}
 }

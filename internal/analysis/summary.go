@@ -12,11 +12,14 @@ import (
 // sequence of communication effects (collectives, point-to-point sends
 // and receives, rank-divergent branches, loops) a function executes,
 // with calls to unit-local functions spliced in so the interprocedural
-// rules (protocol, deadlock) see through helper boundaries. Tags and
-// peers that are a callee parameter stay symbolic in the memoized
-// summary and are bound to the caller's constant at each splice site —
-// the constant propagation that lets `sendResult(c, dst)` match a
-// `Recv(c, src, tagResult)` three functions away.
+// rules (protocol, deadlock) see through helper boundaries. Spliced
+// effects carry their call path, so the collective and sendrecv rules
+// read the same summaries without them. Tags and peers are go/constant
+// values where go/types folds them; one that is a callee parameter stays
+// symbolic in the memoized summary and is bound to the caller's constant
+// at each splice site — the constant propagation that lets
+// `sendResult(c, dst)` match a `Recv(c, src, tagResult)` three functions
+// away.
 
 // EffectKind discriminates summary effects.
 type EffectKind uint8
@@ -50,7 +53,7 @@ type operand struct {
 	val   int    // valConst
 	param string // valParam
 	// bound marks a valConst that was resolved only by interprocedural
-	// parameter binding — a value the intraprocedural rules cannot see.
+	// parameter binding — a value visible only with call expansion.
 	bound bool
 }
 
@@ -91,6 +94,7 @@ type Effect struct {
 	Divergent bool       // EffBranch: the condition compares the rank
 	Arms      [][]Effect // EffBranch
 	Term      []bool     // EffBranch: arm unconditionally leaves the function
+	stmt      ast.Stmt   // EffBranch: the statement, which names the arms
 
 	RankTrips bool     // EffLoop: trip count depends on the rank
 	Body      []Effect // EffLoop
@@ -118,20 +122,18 @@ const maxSpliceDepth = 8
 type summarizer struct {
 	u        *Unit
 	cg       *callGraph
-	consts   map[string]int
 	cache    map[*ast.FuncDecl]*FuncSummary
 	litCache map[*ast.FuncLit]*FuncSummary
 	building map[*ast.FuncDecl]bool // recursion cut
 }
 
 // summaries returns (building if needed) the unit's summarizer. The cache
-// lives on the Unit so the protocol and deadlock rules share one build.
+// lives on the Unit so every rule that reads summaries shares one build.
 func (u *Unit) summaries() *summarizer {
 	if u.sums == nil {
 		u.sums = &summarizer{
 			u:        u,
 			cg:       buildCallGraph(u),
-			consts:   collectIntConsts(u),
 			cache:    map[*ast.FuncDecl]*FuncSummary{},
 			litCache: map[*ast.FuncLit]*FuncSummary{},
 			building: map[*ast.FuncDecl]bool{},
@@ -284,7 +286,7 @@ func (s *summarizer) stmtEffects(stmt ast.Stmt, params map[string]bool, depth in
 		}
 	case *ast.DeferStmt:
 		// Deferred communication runs at function exit; source order is an
-		// approximation, matching the intraprocedural collective rule.
+		// approximation.
 		return s.callEffects(x.Call, params, depth)
 	case *ast.IfStmt:
 		return s.ifEffects(x, params, depth)
@@ -293,6 +295,7 @@ func (s *summarizer) stmtEffects(stmt ast.Stmt, params map[string]bool, depth in
 		if x.Init != nil {
 			body = append(body, s.stmtEffects(x.Init, params, depth)...)
 		}
+		body = append(body, s.exprEffects(x.Cond, params, depth)...)
 		body = append(body, s.stmtList(x.Body.List, params, depth)...)
 		if x.Post != nil {
 			body = append(body, s.stmtEffects(x.Post, params, depth)...)
@@ -302,20 +305,26 @@ func (s *summarizer) stmtEffects(stmt ast.Stmt, params map[string]bool, depth in
 		}
 		return []Effect{{
 			Kind: EffLoop, Pos: x.Pos(), Body: body,
-			RankTrips: mentionsRank(x.Init) || mentionsRank(x.Cond) || mentionsRank(x.Post),
+			RankTrips: s.u.mentionsRank(x.Init) || s.u.mentionsRank(x.Cond) || s.u.mentionsRank(x.Post),
 		}}
 	case *ast.RangeStmt:
+		out := s.exprEffects(x.X, params, depth)
 		body := s.stmtList(x.Body.List, params, depth)
 		if len(body) == 0 {
-			return nil
+			return out
 		}
-		return []Effect{{
+		return append(out, Effect{
 			Kind: EffLoop, Pos: x.Pos(), Body: body,
-			RankTrips: mentionsRank(x.X),
-		}}
+			RankTrips: s.u.mentionsRank(x.X),
+		})
 	case *ast.SwitchStmt:
 		return s.switchEffects(x, params, depth)
 	case *ast.TypeSwitchStmt:
+		var out []Effect
+		if x.Init != nil {
+			out = append(out, s.stmtEffects(x.Init, params, depth)...)
+		}
+		out = append(out, s.stmtEffects(x.Assign, params, depth)...)
 		var arms [][]Effect
 		var term []bool
 		hasDefault := false
@@ -328,7 +337,7 @@ func (s *summarizer) stmtEffects(stmt ast.Stmt, params map[string]bool, depth in
 				term = append(term, bodyTerminates(cc.Body))
 			}
 		}
-		return makeBranch(x.Pos(), false, "", arms, term, hasDefault)
+		return append(out, makeBranch(x, false, "", arms, term, hasDefault)...)
 	case *ast.SelectStmt:
 		var arms [][]Effect
 		var term []bool
@@ -338,7 +347,7 @@ func (s *summarizer) stmtEffects(stmt ast.Stmt, params map[string]bool, depth in
 				term = append(term, bodyTerminates(cc.Body))
 			}
 		}
-		return makeBranch(x.Pos(), false, "", arms, term, true)
+		return makeBranch(x, false, "", arms, term, true)
 	case *ast.BlockStmt:
 		return s.stmtList(x.List, params, depth)
 	case *ast.LabeledStmt:
@@ -346,7 +355,9 @@ func (s *summarizer) stmtEffects(stmt ast.Stmt, params map[string]bool, depth in
 	case *ast.GoStmt:
 		// A spawned goroutine is not part of this rank's program order.
 		return nil
-	case *ast.SendStmt, *ast.IncDecStmt, *ast.BranchStmt, *ast.EmptyStmt:
+	case *ast.SendStmt:
+		return append(s.exprEffects(x.Chan, params, depth), s.exprEffects(x.Value, params, depth)...)
+	case *ast.IncDecStmt, *ast.BranchStmt, *ast.EmptyStmt:
 		return nil
 	}
 	return nil
@@ -363,7 +374,7 @@ func (s *summarizer) ifEffects(ifs *ast.IfStmt, params map[string]bool, depth in
 	}
 	out = append(out, s.exprEffects(ifs.Cond, params, depth)...)
 
-	cmps := rankCond(ifs.Cond)
+	cmps := s.u.rankCond(ifs.Cond)
 	divergent := len(cmps) > 0
 	comm := ""
 	if divergent {
@@ -382,7 +393,7 @@ func (s *summarizer) ifEffects(ifs *ast.IfStmt, params map[string]bool, depth in
 		elseArm = s.stmtEffects(e, params, depth)
 		elseTerm = allElseTerminates(e)
 	}
-	out = append(out, makeBranch(ifs.Pos(), divergent, comm,
+	out = append(out, makeBranch(ifs, divergent, comm,
 		[][]Effect{thenArm, elseArm}, []bool{thenTerm, elseTerm}, true)...)
 	return out
 }
@@ -394,17 +405,18 @@ func (s *summarizer) switchEffects(sw *ast.SwitchStmt, params map[string]bool, d
 	if sw.Init != nil {
 		out = append(out, s.stmtEffects(sw.Init, params, depth)...)
 	}
+	out = append(out, s.exprEffects(sw.Tag, params, depth)...)
 	divergent := false
 	comm := ""
 	if sw.Tag != nil {
-		if c, ok := isRankExpr(sw.Tag); ok {
+		if c, ok := s.u.isRankExpr(sw.Tag); ok {
 			divergent, comm = true, c
 		}
 	} else {
 		for _, c := range sw.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
 				for _, e := range cc.List {
-					if cmps := rankCond(e); len(cmps) > 0 {
+					if cmps := s.u.rankCond(e); len(cmps) > 0 {
 						divergent, comm = true, cmps[0].comm
 					}
 				}
@@ -423,19 +435,22 @@ func (s *summarizer) switchEffects(sw *ast.SwitchStmt, params map[string]bool, d
 			term = append(term, bodyTerminates(cc.Body))
 		}
 	}
-	out = append(out, makeBranch(sw.Pos(), divergent, comm, arms, term, hasDefault)...)
+	out = append(out, makeBranch(sw, divergent, comm, arms, term, hasDefault)...)
 	return out
 }
 
 // makeBranch assembles a branch effect. A missing default (or else) adds
-// an implicit empty fall-through arm; branches with no effects anywhere
-// vanish; uniform branches whose arms all agree splice the first arm.
-func makeBranch(pos token.Pos, divergent bool, comm string, arms [][]Effect, term []bool, exhaustive bool) []Effect {
+// an implicit empty fall-through arm. A branch with no effects anywhere
+// vanishes, unless it is rank-divergent and an arm leaves the function:
+// that early return splits the ranks, and stmtList moves what the others
+// go on to run into their arms. Uniform branches whose arms all agree
+// splice the first arm.
+func makeBranch(stmt ast.Stmt, divergent bool, comm string, arms [][]Effect, term []bool, exhaustive bool) []Effect {
 	if !exhaustive {
 		arms = append(arms, nil)
 		term = append(term, false)
 	}
-	any := false
+	any := divergent && anyTrue(term)
 	for _, a := range arms {
 		if len(a) > 0 {
 			any = true
@@ -444,7 +459,7 @@ func makeBranch(pos token.Pos, divergent bool, comm string, arms [][]Effect, ter
 	if !any {
 		return nil
 	}
-	if !divergent {
+	if !divergent && !anyTrue(term) {
 		allEqual := true
 		for _, a := range arms[1:] {
 			if !sameEffectShape(arms[0], a) {
@@ -452,17 +467,50 @@ func makeBranch(pos token.Pos, divergent bool, comm string, arms [][]Effect, ter
 				break
 			}
 		}
-		anyTerm := false
-		for _, t := range term {
-			if t {
-				anyTerm = true
-			}
-		}
-		if allEqual && !anyTerm {
+		if allEqual {
 			return arms[0]
 		}
 	}
-	return []Effect{{Kind: EffBranch, Pos: pos, Divergent: divergent, Comm: comm, Arms: arms, Term: term}}
+	return []Effect{{Kind: EffBranch, Pos: stmt.Pos(), Divergent: divergent, Comm: comm, Arms: arms, Term: term, stmt: stmt}}
+}
+
+// earlyReturn returns the one arm a rank-guarded early return leaves
+// running: e is a rank-divergent branch whose every other arm leaves the
+// function without communicating. The ranks that stay all run that arm,
+// so to them it is straight-line code.
+func (e Effect) earlyReturn() ([]Effect, bool) {
+	if e.Kind != EffBranch || !e.Divergent {
+		return nil, false
+	}
+	var stay []Effect
+	n := 0
+	for j, arm := range e.Arms {
+		switch {
+		case !e.Term[j]:
+			stay, n = arm, n+1
+		case len(arm) > 0:
+			return nil, false
+		}
+	}
+	return stay, n == 1
+}
+
+// allElseTerminates reports whether every path of an else (possibly an
+// else-if chain) terminates, in which case no rank falls through.
+func allElseTerminates(e ast.Stmt) bool {
+	switch s := e.(type) {
+	case *ast.BlockStmt:
+		return terminates(s)
+	case *ast.IfStmt:
+		if !terminates(s.Body) {
+			return false
+		}
+		if s.Else == nil {
+			return false
+		}
+		return allElseTerminates(s.Else)
+	}
+	return false
 }
 
 // sameEffectShape reports whether two effect sequences are structurally
@@ -633,9 +681,17 @@ func unwrapCallFun(call *ast.CallExpr) ast.Expr {
 // the callee's own remaining effects into the fall-through arms, so in
 // the caller's frame every arm simply continues with the caller's
 // continuation.
+//
+// A callee's rank-guarded early return is spliced as the arm it leaves
+// running, so callers read the helper as straight-line code; the callee's
+// own summary keeps the branch, and the split is reported there.
 func substEffects(effects []Effect, calleeName string, bind map[string]operand, commBind map[string]string) []Effect {
 	out := make([]Effect, 0, len(effects))
 	for _, e := range effects {
+		if stay, ok := e.earlyReturn(); ok {
+			out = append(out, substEffects(stay, calleeName, bind, commBind)...)
+			continue
+		}
 		c := e
 		c.Path = append([]string{calleeName}, e.Path...)
 		c.Tag = substOperand(e.Tag, bind)
@@ -679,27 +735,27 @@ func substOperand(o operand, bind map[string]operand) operand {
 // function's frame: a foldable constant, one of the function's own
 // parameters (symbolic, bindable by callers), rank-derived, or unknown.
 func (s *summarizer) classify(e ast.Expr, params map[string]bool) operand {
-	if v, ok := intValue(e, s.consts); ok {
+	if v, ok := s.u.constInt(e); ok {
 		return operand{class: valConst, val: v}
 	}
 	if id, ok := e.(*ast.Ident); ok && params[id.Name] {
 		return operand{class: valParam, param: id.Name}
 	}
-	if mentionsRank(e) {
+	if s.u.mentionsRank(e) {
 		return operand{class: valRankDep}
 	}
 	return operand{class: valUnknown}
 }
 
 // mentionsRank reports whether any subexpression denotes this rank's id.
-func mentionsRank(n ast.Node) bool {
+func (u *Unit) mentionsRank(n ast.Node) bool {
 	if n == nil {
 		return false
 	}
 	found := false
 	ast.Inspect(n, func(x ast.Node) bool {
 		if e, ok := x.(ast.Expr); ok {
-			if _, isRank := isRankExpr(e); isRank {
+			if _, isRank := u.isRankExpr(e); isRank {
 				found = true
 			}
 		}

@@ -64,3 +64,24 @@ func divergentGroupBarrier(c *Comm) {
 		sub.Barrier()
 	}
 }
+
+// A switch on the rank splits the ranks like an if does: rank 0
+// broadcasts while the others enter an Allreduce.
+func switchedCollectives(c *Comm) {
+	switch c.Rank() { // WANT collective
+	case 0:
+		Bcast(c, 0, 1)
+	default:
+		Allreduce(c, 1, func(a, b int) int { return a + b })
+	}
+}
+
+// The loop condition runs an Allreduce on every test, and ranks above 0
+// have returned before the loop.
+func convergeOnRoot(c *Comm) {
+	if c.Rank() > 0 { // WANT collective
+		return
+	}
+	for Allreduce(c, 1, func(a, b int) int { return a + b }) > 0 {
+	}
+}

@@ -1,5 +1,11 @@
 package fixture
 
+import (
+	"os"
+
+	"example.com/cluster"
+)
+
 // Both arms call the same collective: the sequences agree per rank.
 func matchedArms(c *Comm) {
 	if c.Rank() == 0 {
@@ -66,5 +72,48 @@ type worker struct{ log *phaseLog }
 func rootClosesPhase(c *Comm, w *worker) {
 	if c.Rank() == 0 {
 		w.log.Barrier()
+	}
+}
+
+// Every case of the rank switch runs the same Barrier.
+func switchedAgree(c *Comm) {
+	switch c.Rank() {
+	case 0:
+		c.Barrier()
+	case 1:
+		c.Barrier()
+	default:
+		c.Barrier()
+	}
+}
+
+// rank is the launcher's environment string here, not a rank id: every
+// rank takes the same path, so the early return splits no ranks.
+func envGuard(c *Comm) {
+	rank := os.Getenv("PEACHY_RANK")
+	if rank == "" {
+		return
+	}
+	c.Barrier()
+}
+
+// job.Reduce is the user's reduce function, not the collective: it takes
+// as many arguments, but a key comes first, not a Comm.
+type job struct {
+	Reduce func(key string, vals []int, lo, hi int) int
+}
+
+func rootReducesKey(c *Comm, j job) {
+	if c.Rank() == 0 {
+		_ = j.Reduce("k", nil, 0, 1)
+	}
+}
+
+// go/types cannot resolve this import, so its calls match by name and
+// exact arity: a three-argument Reduce is not the four-argument
+// collective.
+func rootCallsUntypedReduce(c *Comm) {
+	if c.Rank() == 0 {
+		_ = cluster.Reduce(c, 1, func(a, b int) int { return a + b })
 	}
 }

@@ -15,3 +15,14 @@ func exchange(c *cluster.Comm) {
 	}
 	cluster.Recv[wire.Msg](c, 0, 0)
 }
+
+// greet's tags are constants of package wire: the first Send pairs with
+// the Recv below, and no Recv takes TagBye.
+func greet(c *cluster.Comm) {
+	if c.Rank() == 0 {
+		cluster.Send(c, 1, wire.TagHello, 1)
+		cluster.Send(c, 1, wire.TagBye, 2) // WANT sendrecv
+		return
+	}
+	cluster.Recv[int](c, 0, wire.TagHello)
+}

@@ -4,3 +4,9 @@ package wire
 
 // Msg carries a channel, which only means something inside one process.
 type Msg struct{ Ch chan int }
+
+// Tags of the exchange in crossmod/app.
+const (
+	TagHello = iota + 1
+	TagBye
+)

@@ -9,7 +9,7 @@ const (
 // syntactically visible in the branch arm below, so the intraprocedural
 // collective rule cannot see the mismatch — only call expansion can.
 func doReduce(c *Comm) {
-	Reduce(c, 1, func(a, b int) int { return a + b })
+	Reduce(c, 0, 1, func(a, b int) int { return a + b })
 }
 
 // Rank 0 runs the Reduce inside the helper; every other rank runs no
@@ -44,4 +44,40 @@ func collInRankLoop(c *Comm) {
 	for i := 0; i < c.Rank(); i++ {
 		Bcast(c, 0, 1) // WANT protocol
 	}
+}
+
+// tagDone is 801. No Send produces it, so every rank waiting for it
+// blocks forever.
+const (
+	tagStart = iota + 800
+	tagDone
+)
+
+func waitDone(c *Comm) {
+	_ = Recv(c, 0, tagDone) // WANT protocol
+}
+
+// Ranks above 0 return before the Barrier inside syncUp (good.go), which
+// rank 0 alone then enters. Only call expansion shows the Barrier.
+func returnBeforeHelper(c *Comm) {
+	if c.Rank() > 0 { // WANT protocol
+		return
+	}
+	syncUp(c)
+}
+
+// recvTagged's tag is a parameter, so the sendrecv view cannot match any
+// tag in this package. Once askOnce binds it, the Send of tagAsk is left
+// without a receive.
+const (
+	tagAsk   = 910
+	tagReply = 911
+)
+
+func recvTagged(c *Comm, tag int) int { return Recv(c, 0, tag) }
+
+func askOnce(c *Comm) {
+	Send(c, 1, tagAsk, 1) // WANT protocol
+	Send(c, 1, tagReply, 2)
+	_ = recvTagged(c, tagReply)
 }

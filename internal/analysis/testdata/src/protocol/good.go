@@ -36,3 +36,9 @@ func collInUniformLoop(c *Comm, n int) {
 		Bcast(c, 0, i)
 	}
 }
+
+// An iota tag whose Send and Recv pair up.
+func startRound(c *Comm) {
+	Send(c, 1, tagStart, 1)
+	_ = Recv(c, 0, tagStart)
+}

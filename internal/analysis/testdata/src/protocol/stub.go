@@ -13,6 +13,6 @@ func (c *Comm) Barrier()  {}
 func Send(c *Comm, dst, tag, v int)  {}
 func Recv(c *Comm, src, tag int) int { return 0 }
 
-func Bcast(c *Comm, root, v int) int                      { return v }
-func Reduce(c *Comm, v int, op func(a, b int) int) int    { return v }
-func Allreduce(c *Comm, v int, op func(a, b int) int) int { return v }
+func Bcast(c *Comm, root, v int) int                         { return v }
+func Reduce(c *Comm, root, v int, op func(a, b int) int) int { return v }
+func Allreduce(c *Comm, v int, op func(a, b int) int) int    { return v }

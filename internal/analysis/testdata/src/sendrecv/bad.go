@@ -13,3 +13,22 @@ func sendNeverReceived(c *Comm) {
 func sendLiteralOrphan(c *Comm) {
 	Send(c, 0, 123, 7) // WANT sendrecv
 }
+
+// Tags from iota and from another constant: tagJob is 10, tagHalt 11 and
+// tagAck 21. Only tagJob has a Recv (in good.go), so the other two
+// messages can never be received.
+const (
+	tagJob = iota + 10
+	tagHalt
+)
+
+const (
+	tagBase = 20
+	tagAck  = tagBase + 1
+)
+
+func dispatch(c *Comm) {
+	Send(c, 1, tagJob, 1)
+	Send(c, 1, tagHalt, 0) // WANT sendrecv
+	Send(c, 1, tagAck, 0)  // WANT sendrecv
+}

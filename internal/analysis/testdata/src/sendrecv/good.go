@@ -30,3 +30,50 @@ func (o *outbox) Send(from, to, tag int, body string) { o.queued = append(o.queu
 func queueGreeting(o *outbox) {
 	o.Send(0, 1, 55, "hello")
 }
+
+func jobWorker(c *Comm) {
+	_ = Recv(c, 0, tagJob)
+}
+
+// No Recv takes tag 17, but the local tagData shadows the constant: the
+// Send's tag is 9, which recvData receives.
+const tagData = 17
+
+func sendShadowed(c *Comm) {
+	tagData := 9
+	Send(c, 1, tagData, 1)
+}
+
+func recvData(c *Comm) {
+	_ = Recv(c, 0, 9)
+}
+
+// Receives in a range expression, a switch tag, a type switch and a
+// channel send match the Sends in feed like any other Recv.
+const (
+	tagBatch = 30
+	tagCmd   = 31
+	tagKind  = 32
+	tagFwd   = 33
+)
+
+func feed(c *Comm) {
+	Send(c, 1, tagBatch, 3)
+	Send(c, 1, tagCmd, 0)
+	Send(c, 1, tagKind, 1)
+	Send(c, 1, tagFwd, 2)
+}
+
+func drain(c *Comm, out chan<- int) {
+	for i := range Recv(c, 0, tagBatch) {
+		_ = i
+	}
+	switch Recv(c, 0, tagCmd) {
+	case 0:
+	}
+	switch v := any(Recv(c, 0, tagKind)).(type) {
+	case int:
+		_ = v
+	}
+	out <- Recv(c, 0, tagFwd)
+}

@@ -26,3 +26,13 @@ func phase(c *Comm, myRank int) {
 		Send(c, i, tagData, 0)
 	}
 }
+
+// guardedBarrier keeps its rank-guarded early return as a branch, and
+// the Barrier after it moves into the arm of the ranks that fall through.
+// The collective rule reports it.
+func guardedBarrier(c *Comm) {
+	if c.Rank() > 1 {
+		return
+	}
+	c.Barrier()
+}

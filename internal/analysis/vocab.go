@@ -59,18 +59,13 @@ type commCall struct {
 
 // commOp classifies a call as a cluster communication op.
 //
-// The call must name a vocabulary entry and pass no more arguments than
-// the entry's signature takes. A point-to-point op passes all of them,
-// since its peer and tag are positional. A collective may pass fewer, as
-// a stub with a shorter signature does, but a function collective passes
-// at least its communicator.
-//
-// When the callee resolves to a declared function or method, it must also
-// be a method of a Comm (Barrier, Split) or take a Comm first, so
-// strings.Split or the Send method of a mail queue is not an op. A callee
-// that does not resolve, or a func-valued field or variable, stays
-// lenient: it matches by name and arity alone, except that a qualified
-// call through an unresolved package must name package cluster.
+// The call must name a vocabulary entry and pass exactly the entry's
+// argument count. When go/types knows the callee's signature, the callee
+// must also be a method of a Comm (Barrier, Split) or take a Comm first,
+// so strings.Split, the Send method of a mail queue or a func-valued
+// field named Reduce is not an op. A callee go/types cannot type matches
+// by name and arity alone, except that a qualified call through an
+// unresolved package must name package cluster.
 func (u *Unit) commOp(call *ast.CallExpr) (commCall, bool) {
 	var id *ast.Ident
 	var recv ast.Expr
@@ -83,13 +78,14 @@ func (u *Unit) commOp(call *ast.CallExpr) (commCall, bool) {
 		return commCall{}, false
 	}
 	spec, ok := vocabulary[id.Name]
-	n := len(call.Args)
-	if !ok || n > spec.args || spec.kind != opColl && n < spec.args ||
-		spec.method && recv == nil || !spec.method && n == 0 {
+	if !ok || len(call.Args) != spec.args || spec.method && recv == nil {
 		return commCall{}, false
 	}
-	if fn, ok := u.info.Uses[id].(*types.Func); ok {
-		sig := fn.Type().(*types.Signature)
+	var sig *types.Signature
+	if obj := u.info.Uses[id]; obj != nil {
+		sig, _ = obj.Type().Underlying().(*types.Signature)
+	}
+	if sig != nil {
 		if spec.method && (sig.Recv() == nil || !isCommType(sig.Recv().Type())) ||
 			!spec.method && (sig.Params().Len() == 0 || !isCommType(sig.Params().At(0).Type())) {
 			return commCall{}, false
@@ -106,7 +102,7 @@ func (u *Unit) commOp(call *ast.CallExpr) (commCall, bool) {
 	if spec.kind != opColl {
 		op.peer, op.tag = call.Args[1], call.Args[2]
 	}
-	if spec.payloadAt >= 0 && spec.payloadAt < n {
+	if spec.payloadAt >= 0 {
 		op.payload = call.Args[spec.payloadAt]
 	}
 	return op, true

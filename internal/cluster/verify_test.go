@@ -202,8 +202,8 @@ func TestVerifyDeadlockDumpMergesBuckets(t *testing.T) {
 func TestVerifyMismatchWithPendingTraffic(t *testing.T) {
 	w := NewWorldOpts(4, VerifyOptions())
 	err := w.Run(func(c *Comm) {
-		switch c.Rank() {
-		case 2: //peachyvet:allow collective — the mismatch is the point of this test
+		switch c.Rank() { //peachyvet:allow collective — the mismatch is the point of this test
+		case 2:
 			Allreduce(c, 1, func(a, b int) int { return a + b })
 		case 1:
 			Send(c, 2, 21, 0)
