@@ -287,11 +287,13 @@ func (ann *annulusIndex) kNearest(q []float64, shard dbShard, h *heapk.Heap[int]
 
 // MapReduce classifies queries on a cluster.World using the MapReduce
 // formulation. The database is sharded across ranks; each map task scans
-// its shard against all queries. With useCombiner, each rank first merges
-// its local candidate lists down to k per query — the "local reductions at
-// each rank [that] noticeably improve the communication cost". Reduce
-// merges candidate lists and votes. Predictions are returned indexed by
-// query.
+// its shard against all queries and emits candidates keyed by query.
+// Without a combiner every (query, point) candidate crosses the shuffle as
+// one Candidate value. With useCombiner, each rank first merges its local
+// candidates down to k per query — the "local reductions at each rank
+// [that] noticeably improve the communication cost" — and sends them as
+// one []Candidate per query. Reduce merges candidates and votes.
+// Predictions are returned indexed by query.
 func MapReduce(world *cluster.World, db *dataio.Dataset, queries [][]float64, k int, useCombiner bool) ([]int, error) {
 	shards := make([]dbShard, world.Size())
 	pointParts := cluster.SplitEven(db.Points, world.Size())
@@ -300,22 +302,29 @@ func MapReduce(world *cluster.World, db *dataio.Dataset, queries [][]float64, k 
 		shards[r] = dbShard{pointParts[r], labelParts[r]}
 	}
 
-	job := &mapreduce.Job[dbShard, int, []Candidate, int]{
-		Map: func(shard dbShard, emit func(int, []Candidate)) {
-			if !useCombiner {
-				// The per-point baseline the combiner experiment
-				// compares against: every candidate crosses the wire,
-				// each as a capped one-element window of its query's
-				// candidate array.
+	if !useCombiner {
+		// The per-point baseline the combiner experiment compares
+		// against: every candidate crosses the wire.
+		return predict(world, shards, len(queries), &mapreduce.Job[dbShard, int, Candidate, int]{
+			Map: func(shard dbShard, emit func(int, Candidate)) {
 				for qi, q := range queries {
-					cands := make([]Candidate, len(shard.Points))
 					for i, p := range shard.Points {
-						cands[i] = Candidate{linalg.SqDist(q, p), shard.Labels[i]}
-						emit(qi, cands[i:i+1:i+1])
+						emit(qi, Candidate{linalg.SqDist(q, p), shard.Labels[i]})
 					}
 				}
-				return
-			}
+			},
+			Reduce: func(_ int, cands []Candidate) int {
+				h := heapk.New[int](k)
+				for _, c := range cands {
+					h.Offer(c.Dist, c.Class)
+				}
+				return voteHeap(h)
+			},
+			PairBytes: 16,
+		})
+	}
+	return predict(world, shards, len(queries), &mapreduce.Job[dbShard, int, []Candidate, int]{
+		Map: func(shard dbShard, emit func(int, []Candidate)) {
 			// Per-shard annulus index, built once and amortised over
 			// the query sweep (Map runs once per rank, so all of this
 			// state is goroutine-local): points sorted by distance to
@@ -345,25 +354,7 @@ func MapReduce(world *cluster.World, db *dataio.Dataset, queries [][]float64, k 
 				}
 			}
 		},
-		Reduce: func(_ int, lists [][]Candidate) int {
-			h := heapk.New[int](k)
-			for _, list := range lists {
-				for _, c := range list {
-					h.Offer(c.Dist, c.Class)
-				}
-			}
-			// Vote is order-independent, so skip Sorted's re-sift.
-			items := h.Items()
-			cands := make([]Candidate, len(items))
-			for i, it := range items {
-				cands[i] = Candidate{it.Priority, it.Value}
-			}
-			return Vote(cands)
-		},
-		PairBytes: 16,
-	}
-	if useCombiner {
-		job.Combine = func(_ int, lists [][]Candidate) []Candidate {
+		Combine: func(_ int, lists [][]Candidate) []Candidate {
 			h := heapk.New[int](k)
 			for _, list := range lists {
 				for _, c := range list {
@@ -376,11 +367,24 @@ func MapReduce(world *cluster.World, db *dataio.Dataset, queries [][]float64, k 
 				out[i] = Candidate{it.Priority, it.Value}
 			}
 			return out
-		}
-		job.PairBytes = 16 * k
-	}
+		},
+		Reduce: func(_ int, lists [][]Candidate) int {
+			h := heapk.New[int](k)
+			for _, list := range lists {
+				for _, c := range list {
+					h.Offer(c.Dist, c.Class)
+				}
+			}
+			return voteHeap(h)
+		},
+		PairBytes: 16 * k,
+	})
+}
 
-	preds := make([]int, len(queries))
+// predict runs job on world, each rank mapping its own shard, and returns
+// the predictions gathered on rank 0, indexed by query.
+func predict[V any](world *cluster.World, shards []dbShard, nq int, job *mapreduce.Job[dbShard, int, V, int]) ([]int, error) {
+	preds := make([]int, nq)
 	err := world.Run(func(c *cluster.Comm) {
 		merged := job.RunToRoot(c, []dbShard{shards[c.Rank()]})
 		if c.Rank() == 0 {
@@ -393,6 +397,17 @@ func MapReduce(world *cluster.World, db *dataio.Dataset, queries [][]float64, k 
 		return nil, err
 	}
 	return preds, nil
+}
+
+// voteHeap votes among the candidates h holds. Vote is order-independent,
+// so it reads Items and skips Sorted's re-sift.
+func voteHeap(h *heapk.Heap[int]) int {
+	items := h.Items()
+	cands := make([]Candidate, len(items))
+	for i, it := range items {
+		cands[i] = Candidate{it.Priority, it.Value}
+	}
+	return Vote(cands)
 }
 
 // Accuracy scores predictions against true labels.

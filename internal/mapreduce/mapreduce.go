@@ -9,28 +9,53 @@ package mapreduce
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
 )
 
-// Pair is one emitted key-value pair.
+// Pair is one key-value pair.
 type Pair[K comparable, V any] struct {
 	Key   K
 	Value V
 }
 
-// batch is the unit exchanged between ranks; it reports its wire size to
-// the cluster cost model so combiner experiments measure real traffic.
+// batch is the unit exchanged between ranks: the pairs bound for one
+// rank, as runs of consecutive equal keys. Run i holds key Keys[i] and the
+// values Vals[Ends[i-1]:Ends[i]] (from 0 for the first run), so a run
+// costs one key however many values it carries. It reports its wire size
+// to the cluster cost model, one PairBytes per pair, so combiner
+// experiments measure real traffic.
 type batch[K comparable, V any] struct {
 	// Exported: the batch crosses rank boundaries via Alltoall, and a
 	// network transport's codec only sees exported fields.
-	Pairs     []Pair[K, V]
+	Keys      []K
+	Ends      []int
+	Vals      []V
 	PairBytes int
 }
 
 // WireSize implements cluster.Sizer.
-func (b batch[K, V]) WireSize() int { return len(b.Pairs) * b.PairBytes }
+func (b batch[K, V]) WireSize() int { return len(b.Vals) * b.PairBytes }
+
+// add appends the pair (k, v), extending the last run when it holds k.
+func (b *batch[K, V]) add(k K, v V) {
+	if n := len(b.Keys); n == 0 || b.Keys[n-1] != k {
+		b.Keys = append(b.Keys, k)
+		b.Ends = append(b.Ends, 0)
+	}
+	b.Vals = append(b.Vals, v)
+	b.Ends[len(b.Ends)-1] = len(b.Vals)
+}
+
+// wireKey stands for one (K, V, R) instantiation in registered.
+type wireKey[K comparable, V, R any] struct{}
+
+// registered holds a wireKey for every instantiation whose types
+// RegisterWireTypes has registered, so a repeat call is one lookup.
+var registered sync.Map
 
 // RegisterWireTypes registers one (K, V, R) instantiation's cross-rank
 // payload types with the cluster wire codec: the shuffle batches and the
@@ -39,13 +64,18 @@ func (b batch[K, V]) WireSize() int { return len(b.Pairs) * b.PairBytes }
 // these travel as gob interface values, which decode by registered
 // concrete type. Run calls this itself, so jobs work multi-process out of
 // the box; it is exported for callers that build their own exchanges from
-// the same types. Safe to call repeatedly.
+// the same types. Safe to call repeatedly: after the first call for an
+// instantiation, a call allocates nothing.
 func RegisterWireTypes[K comparable, V, R any]() {
+	if _, done := registered.Load(wireKey[K, V, R]{}); done {
+		return
+	}
 	cluster.RegisterWire(
 		batch[K, V]{},
 		map[K]R(nil),
 		[]map[K]R(nil),
 	)
+	registered.Store(wireKey[K, V, R]{}, true)
 }
 
 // keyGroups holds one destination rank's emissions per key, for a job
@@ -59,7 +89,9 @@ type keyGroups[K comparable, V any] struct {
 	vals  [][]V
 }
 
-func (g *keyGroups[K, V]) add(k K, v V) {
+// slot returns k's position in keys and vals, opening a group for a key
+// not seen before.
+func (g *keyGroups[K, V]) slot(k K) int {
 	i, seen := g.index[k]
 	if !seen {
 		if g.index == nil {
@@ -70,7 +102,7 @@ func (g *keyGroups[K, V]) add(k K, v V) {
 		g.keys = append(g.keys, k)
 		g.vals = append(g.vals, nil)
 	}
-	g.vals[i] = append(g.vals[i], v)
+	return i
 }
 
 // Job describes a MapReduce computation over inputs of type I, emitting
@@ -107,22 +139,34 @@ func (j *Job[I, K, V, R]) Run(c *cluster.Comm, inputs []I) map[K]R {
 	// Map phase: route each emission to the rank its key hashes to.
 	// Without a combiner the pair goes straight into that rank's batch, in
 	// emission order; with one, values are grouped per key as they arrive,
-	// because Combine needs each key's values together.
+	// because Combine needs each key's values together. Emissions tend to
+	// come in runs of equal keys (kNN emits a query's candidates together),
+	// so the last key's rank, and with a combiner its group, is kept and
+	// hashKey runs only when the key changes.
 	mapWall := rec.Now()
 	mapSim := c.Clock()
 	parts := make([]batch[K, V], size)
 	var groups []keyGroups[K, V]
 	var emitted int64
+	var last K
+	dst := -1 // last's rank, or -1 before the first emission
 	emit := func(k K, v V) {
-		dst := int(hashKey(k) % uint64(size))
-		parts[dst].Pairs = append(parts[dst].Pairs, Pair[K, V]{k, v})
+		if dst < 0 || k != last {
+			last, dst = k, int(hashKey(k)%uint64(size))
+		}
+		parts[dst].add(k, v)
 		emitted++
 	}
 	if j.Combine != nil {
 		groups = make([]keyGroups[K, V], size)
+		var gi int // last's position in groups[dst]
 		emit = func(k K, v V) {
-			dst := int(hashKey(k) % uint64(size))
-			groups[dst].add(k, v)
+			if dst < 0 || k != last {
+				last, dst = k, int(hashKey(k)%uint64(size))
+				gi = groups[dst].slot(k)
+			}
+			g := &groups[dst]
+			g.vals[gi] = append(g.vals[gi], v)
 			emitted++
 		}
 	}
@@ -133,23 +177,25 @@ func (j *Job[I, K, V, R]) Run(c *cluster.Comm, inputs []I) map[K]R {
 		obs.KV{K: "inputs", V: int64(len(inputs))}, obs.KV{K: "pairs", V: emitted})
 
 	// Optional combine phase: fold each key's local values to one pair,
-	// keys in first-emission order. A key emitted once is sent as is.
+	// keys in first-emission order, so each run holds one value. A key
+	// emitted once is sent as is.
 	if j.Combine != nil {
 		combWall := rec.Now()
 		combSim := c.Clock()
 		var kept int64
 		for r := range groups {
 			g := &groups[r]
-			ps := make([]Pair[K, V], len(g.keys))
+			n := len(g.keys)
+			b := batch[K, V]{Keys: g.keys, Ends: make([]int, n), Vals: make([]V, n)}
 			for i, k := range g.keys {
-				v := g.vals[i][0]
+				b.Vals[i] = g.vals[i][0]
 				if len(g.vals[i]) > 1 {
-					v = j.Combine(k, g.vals[i])
+					b.Vals[i] = j.Combine(k, g.vals[i])
 				}
-				ps[i] = Pair[K, V]{k, v}
+				b.Ends[i] = i + 1
 			}
-			parts[r].Pairs = ps
-			kept += int64(len(ps))
+			parts[r] = b
+			kept += int64(n)
 		}
 		rec.PhaseSpan("mr.combine", combSim, c.Clock(), combWall,
 			obs.KV{K: "pairs_in", V: emitted}, obs.KV{K: "pairs_out", V: kept})
@@ -188,36 +234,40 @@ func (j *Job[I, K, V, R]) Run(c *cluster.Comm, inputs []I) map[K]R {
 	return out
 }
 
-// collate groups the received pairs by key with a counting sort into one
-// array. Keys are numbered in order of first appearance, taking the
-// batches in source-rank order, and key i's values are
+// collate groups the received pairs by key with a counting sort over
+// runs into one array. Keys are numbered in order of first appearance,
+// taking the batches in source-rank order, and key i's values are
 // vals[starts[i]:starts[i+1]], by source rank and then in batch order.
+// Each run costs one map lookup and one copy.
 func collate[K comparable, V any](batches []batch[K, V]) (keys []K, starts []int, vals []V) {
-	n := 0
+	n, runs := 0, 0
 	for _, b := range batches {
-		n += len(b.Pairs)
+		n += len(b.Vals)
+		runs += len(b.Keys)
 	}
-	// First pass: number the keys and count the pairs per key, recording
-	// each pair's key number.
+	// First pass: number the keys and count the values per key, recording
+	// each run's key number.
 	index := make(map[K]int)
-	keyOf := make([]int, n)
+	keyOf := make([]int, runs)
 	var counts []int
 	i := 0
 	for _, b := range batches {
-		for _, p := range b.Pairs {
-			ki, seen := index[p.Key]
+		lo := 0
+		for r, k := range b.Keys {
+			ki, seen := index[k]
 			if !seen {
 				ki = len(keys)
-				index[p.Key] = ki
-				keys = append(keys, p.Key)
+				index[k] = ki
+				keys = append(keys, k)
 				counts = append(counts, 0)
 			}
-			counts[ki]++
+			counts[ki] += b.Ends[r] - lo
+			lo = b.Ends[r]
 			keyOf[i] = ki
 			i++
 		}
 	}
-	// Second pass: place each value at its key's next free slot.
+	// Second pass: copy each run to its key's next free slots.
 	starts = make([]int, len(keys)+1)
 	for ki, cnt := range counts {
 		starts[ki+1] = starts[ki] + cnt
@@ -227,9 +277,11 @@ func collate[K comparable, V any](batches []batch[K, V]) (keys []K, starts []int
 	vals = make([]V, n)
 	i = 0
 	for _, b := range batches {
-		for _, p := range b.Pairs {
-			vals[next[keyOf[i]]] = p.Value
-			next[keyOf[i]]++
+		lo := 0
+		for _, end := range b.Ends {
+			ki := keyOf[i]
+			next[ki] += copy(vals[next[ki]:], b.Vals[lo:end])
+			lo = end
 			i++
 		}
 	}
@@ -254,22 +306,45 @@ func (j *Job[I, K, V, R]) RunToRoot(c *cluster.Comm, inputs []I) map[K]R {
 }
 
 // hashKey maps a comparable key to a rank-assignment hash, deterministic
-// across runs so experiment traffic counts are reproducible.
+// across runs and processes so experiment traffic counts are
+// reproducible. Equal scalar keys hash alike: a float or complex key
+// hashes its bits with -0 folded to +0, which == equates with it. A NaN
+// equals no key, so only its determinism matters, and it hashes its bits
+// like any other value. Any other key, a composite one included, still
+// hashes its printed form, in which a -0 inside a struct or array prints
+// apart from +0. The switch is on a pointer to k, because boxing k itself
+// would allocate for every string key and every int above 255.
 func hashKey[K comparable](k K) uint64 {
-	switch v := any(k).(type) {
-	case int:
-		return mix(uint64(v))
-	case int32:
-		return mix(uint64(v))
-	case int64:
-		return mix(uint64(v))
-	case uint64:
-		return mix(v)
-	case string:
-		return fnv1a(v)
+	switch v := any(&k).(type) {
+	case *int:
+		return mix(uint64(*v))
+	case *int32:
+		return mix(uint64(*v))
+	case *int64:
+		return mix(uint64(*v))
+	case *uint64:
+		return mix(*v)
+	case *float32:
+		return hashKey(float64(*v))
+	case *float64:
+		return mix(floatBits(*v))
+	case *complex64:
+		return hashKey(complex128(*v))
+	case *complex128:
+		return mix(mix(floatBits(real(*v))) ^ floatBits(imag(*v)))
+	case *string:
+		return fnv1a(*v)
 	default:
-		return fnv1a(fmt.Sprint(v))
+		return fnv1a(fmt.Sprint(k))
 	}
+}
+
+// floatBits returns f's bits, with -0 as +0's, which == equates with it.
+func floatBits(f float64) uint64 {
+	if f == 0 {
+		return 0
+	}
+	return math.Float64bits(f)
 }
 
 func mix(x uint64) uint64 {

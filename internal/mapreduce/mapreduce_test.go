@@ -1,6 +1,8 @@
 package mapreduce
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -228,6 +230,37 @@ func TestHashKeyStability(t *testing.T) {
 	type custom struct{ A, B int }
 	if hashKey(custom{1, 2}) != hashKey(custom{1, 2}) {
 		t.Error("struct hash unstable")
+	}
+}
+
+// TestSignedZeroKeysReduceTogether: -0 and +0 are one key under == and in
+// Go maps, so all four of their values must reach one Reduce, on one rank.
+func TestSignedZeroKeysReduceTogether(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	job := &Job[int, float64, int, int]{
+		Map: func(in int, emit func(float64, int)) {
+			if in%2 == 0 {
+				emit(0, 1)
+			} else {
+				emit(negZero, 1)
+			}
+		},
+		Reduce: func(_ float64, vs []int) int { return len(vs) },
+	}
+	for p := 1; p <= 5; p++ {
+		shards := cluster.SplitEven([]int{0, 1, 2, 3}, p)
+		counts := make([][]int, p)
+		err := cluster.NewWorld(p).Run(func(c *cluster.Comm) {
+			for _, n := range job.Run(c, shards[c.Rank()]) {
+				counts[c.Rank()] = append(counts[c.Rank()], n)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := slices.Concat(counts...); !slices.Equal(got, []int{4}) {
+			t.Errorf("P=%d: value counts of the reduced keys by rank %v, want one key with 4", p, counts)
+		}
 	}
 }
 
