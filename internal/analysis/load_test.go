@@ -129,9 +129,9 @@ func TestImportCycleTerminates(t *testing.T) {
 	}
 }
 
-// TestLoadReleasesItsFileSet checks that nothing outlives a run: once the
-// units of a finished Load are dropped, its FileSet, and with it the
-// importer holding the type-checked std packages, can be collected.
+// TestLoadReleasesItsFileSet checks that nothing of a run outlives it:
+// once the units of a finished Load are dropped, its FileSet can be
+// collected. The std universe every Load shares holds nothing of it.
 func TestLoadReleasesItsFileSet(t *testing.T) {
 	freed := make(chan struct{})
 	func() {
@@ -180,5 +180,30 @@ func TestConcurrentMain(t *testing.T) {
 	}
 	if outs[0].String() != outs[1].String() {
 		t.Errorf("concurrent runs disagree:\n%s\nvs\n%s", outs[0].String(), outs[1].String())
+	}
+}
+
+// TestLoadsShareOneStdUniverse checks that a process type-checks a std
+// package once however many Loads it runs: two Loads that import sync get
+// the same *types.Package.
+func TestLoadsShareOneStdUniverse(t *testing.T) {
+	syncOf := func() *types.Package {
+		units, err := Load([]string{fixtureDir("wiresafe")}) // imports sync
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range units {
+			Analyze(u, DefaultConfig())
+			for _, imp := range u.typesPkg.Imports() {
+				if imp.Path() == "sync" {
+					return imp
+				}
+			}
+		}
+		t.Fatal("no unit of the wiresafe fixture imports sync")
+		return nil
+	}
+	if a, b := syncOf(), syncOf(); a != b {
+		t.Errorf("two Loads type-checked sync apart: %p and %p", a, b)
 	}
 }

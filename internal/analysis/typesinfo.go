@@ -10,6 +10,7 @@ import (
 	pathpkg "path"
 	"path/filepath"
 	"strings"
+	"sync"
 )
 
 // lenientImporter resolves the imports of one Load without starting the
@@ -22,19 +23,19 @@ import (
 //     analysis uses, checked by ensureTypes under its import path. A
 //     directory the patterns left out is parsed the first time something
 //     imports it; it is type-checked but not analyzed.
-//   - A path naming a directory under $GOROOT/src is type-checked from
-//     source, so sync.Mutex et al. carry real type information. go/build
-//     runs `go list` for any other path, so no other path reaches it.
+//   - A path naming a directory under $GOROOT/src comes from stdUniverse,
+//     type-checked from source, so sync.Mutex et al. carry real type
+//     information. go/build runs `go list` for any other path, so no
+//     other path reaches it.
 //   - Everything else is an empty, complete placeholder package, and so
 //     is a unit whose check is still running (an import cycle in broken
 //     code). Rules that consult types must tolerate missing info.
 //
-// Load makes one per call and hands it to every unit it returns, so a
-// run type-checks each std package once and the cache goes away with the
-// units.
+// Load makes one per call and hands it to every unit it returns, so the
+// module units and their FileSet go away with the units.
 type lenientImporter struct {
 	fset     *token.FileSet
-	src      types.Importer
+	src      types.Importer     // stdUniverse
 	wd       string             // working directory, to make loaded directories absolute
 	stdRoot  string             // $GOROOT/src, "" when GOROOT is unknown
 	modules  map[string]string  // module path -> root, for every loaded directory's go.mod
@@ -46,10 +47,32 @@ type lenientImporter struct {
 // module is one go.mod: the path it declares and the directory holding it.
 type module struct{ path, root string }
 
+// stdUniverse is the process's one standard library: a source importer
+// with a FileSet of its own, shared by every Load, so a process
+// type-checks each std package it meets once however many Loads it runs.
+// It lives as long as the process, bounded by the std packages loaded
+// code imports. No finding formats a std object's position, so none
+// needs this FileSet.
+var stdUniverse types.Importer = &lockedImporter{imp: importer.ForCompiler(token.NewFileSet(), "source", nil)}
+
+// lockedImporter serializes an importer that is not safe for concurrent
+// use. The packages it returns are complete, and concurrent type checks
+// only read them.
+type lockedImporter struct {
+	mu  sync.Mutex
+	imp types.Importer
+}
+
+func (l *lockedImporter) Import(path string) (*types.Package, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.imp.Import(path)
+}
+
 func newLenientImporter(fset *token.FileSet) *lenientImporter {
 	li := &lenientImporter{
 		fset:     fset,
-		src:      importer.ForCompiler(fset, "source", nil),
+		src:      stdUniverse,
 		modules:  map[string]string{},
 		near:     map[string]module{},
 		units:    map[string][]*Unit{},

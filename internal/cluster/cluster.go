@@ -81,8 +81,9 @@ type message struct {
 	op, site string  // Verify mode: collective op + call site that produced this message
 	// Wire-level observability, stamped by the net device's reader: frame
 	// bytes on the wire (0 on the in-process device — also the "no wire"
-	// sentinel) and the frame decode wall time. finishRecv folds them into the
-	// recorder's net.rx aggregate on the rank's own goroutine.
+	// sentinel) and the frame decode wall time (0 unless a trace was attached
+	// when the frame was decoded). finishRecv folds them into the recorder's
+	// net.rx aggregate on the rank's own goroutine.
 	wireB int64
 	decNs int64
 }
@@ -452,6 +453,9 @@ func (w *World) Observe() *obs.Trace {
 		if c != nil {
 			c.rec = t.Rank(r)
 		}
+	}
+	if d, ok := w.dev.(*netDevice); ok {
+		d.traced.Store(true) // its reader goroutines time decodes from now on
 	}
 	return t
 }

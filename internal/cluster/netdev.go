@@ -173,6 +173,7 @@ type netDevice struct {
 	conns    []net.Conn     // peer rank -> connection (nil at self)
 	writers  []*frameWriter // peer rank -> frame encoder
 	state    []atomic.Pointer[string]
+	traced   atomic.Bool // set by World.Observe: readLoop times decodes
 	closing  atomic.Bool
 	closeMu  sync.Mutex
 }
@@ -253,16 +254,32 @@ func (d *netDevice) attach(peer int, conn net.Conn) {
 	d.state[peer].Store(&s)
 }
 
+// The wait between refused dials starts at dialWaitMin and doubles up to
+// dialWaitMax. A dialer that beats its listener, as the last-started rank
+// does when ranks share a process, then connects about as soon as the
+// listener binds, and a slow-starting peer process is still dialed at
+// most once per dialWaitMax.
+const (
+	dialWaitMin = 10 * time.Microsecond
+	dialWaitMax = 2 * time.Millisecond
+)
+
+// dialRetry dials addr until it connects or the deadline passes. A
+// refusal means the peer has not bound its listener yet, so it waits and
+// dials again, never sleeping past the deadline.
 func dialRetry(network, addr string, deadline time.Time) (net.Conn, error) {
+	wait := dialWaitMin
 	for {
 		conn, err := net.DialTimeout(network, addr, time.Until(deadline))
 		if err == nil {
 			return conn, nil
 		}
-		if time.Now().After(deadline) {
+		left := time.Until(deadline)
+		if left <= 0 {
 			return nil, err
 		}
-		time.Sleep(2 * time.Millisecond) // peer has not bound its listener yet
+		time.Sleep(min(wait, left))
+		wait = min(2*wait, dialWaitMax)
 	}
 }
 
@@ -315,19 +332,24 @@ func isConnError(err error) bool {
 // body does not decode also ends the stream, since the decoder cannot
 // resynchronize, but it is diagnosed as the payload's fault: the peer
 // process is still alive. Each delivered message is stamped with its
-// wire size and decode time (socket wait excluded — the frame is fully
-// buffered before the decode is timed); the rank's goroutine folds the
-// stamps into the recorder in recvRaw, keeping the recorder
-// single-writer.
+// wire size and, once a trace is attached, its decode time (socket wait
+// excluded — the frame is fully buffered before the decode is timed);
+// the rank's goroutine folds the stamps into the recorder in recvRaw,
+// keeping the recorder single-writer. With no trace attached the loop
+// reads no clock.
 func (d *netDevice) readLoop(peer int, conn net.Conn) {
 	fr := newFrameReader(conn)
 	for {
 		err := fr.fetch()
 		var msg message
 		if err == nil {
-			start := time.Now()
-			msg, err = fr.decode()
-			msg.decNs = time.Since(start).Nanoseconds()
+			if d.traced.Load() {
+				start := time.Now()
+				msg, err = fr.decode()
+				msg.decNs = time.Since(start).Nanoseconds()
+			} else {
+				msg, err = fr.decode()
+			}
 		}
 		if err != nil {
 			if d.closing.Load() {

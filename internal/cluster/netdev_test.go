@@ -6,6 +6,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -54,6 +55,84 @@ func runNetWorld(t *testing.T, network string, addrs []string, opts Options, f f
 	}
 	wg.Wait()
 	return errs, worlds
+}
+
+// bringUp runs every rank's NewNetWorld over unix sockets, each on its
+// own goroutine started in rank order, and returns once all have
+// returned.
+func bringUp(addrs []string, dialTimeout time.Duration) ([]*World, []error) {
+	size := len(addrs)
+	worlds := make([]*World, size)
+	errs := make([]error, size)
+	var wg sync.WaitGroup
+	wg.Add(size)
+	for r := 0; r < size; r++ {
+		go func(r int) {
+			defer wg.Done()
+			worlds[r], errs[r] = NewNetWorld(NetConfig{
+				Size: size, Rank: r, Network: "unix", Addrs: addrs, DialTimeout: dialTimeout,
+			}, DefaultOptions())
+		}(r)
+	}
+	wg.Wait()
+	return worlds, errs
+}
+
+// TestNetDialerFirstBringUp: a rank that dials before its peer has bound
+// its listener connects about as soon as the listener is up. At
+// GOMAXPROCS 1 the goroutine started last runs first, so rank 1 dials a
+// socket file that does not exist yet, as when one process brings up
+// both ranks of a world. The quickest of the bring-ups must take under
+// 1 ms; a dialer that retried at a fixed 2 ms would make each one take
+// longer than that.
+func TestNetDialerFirstBringUp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector slows socket set-up past the bound")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	dir := t.TempDir()
+	const n = 20
+	quickest := time.Hour
+	for i := 0; i < n; i++ {
+		addrs := []string{
+			filepath.Join(dir, fmt.Sprintf("%d.0.s", i)),
+			filepath.Join(dir, fmt.Sprintf("%d.1.s", i)),
+		}
+		start := time.Now()
+		worlds, errs := bringUp(addrs, 10*time.Second)
+		quickest = min(quickest, time.Since(start))
+		for r, err := range errs {
+			if err != nil {
+				t.Fatalf("bring-up %d, rank %d: %v", i, r, err)
+			}
+			worlds[r].Close()
+		}
+	}
+	if quickest >= time.Millisecond {
+		t.Errorf("quickest of %d dialer-first bring-ups took %v, want under 1ms", n, quickest)
+	}
+}
+
+// TestNetDialDeadline: when a peer never binds its listener, NewNetWorld
+// gives up once its DialTimeout has passed, not much later, with an error
+// naming the rank it dialed and that rank's address.
+func TestNetDialDeadline(t *testing.T) {
+	addrs := netAddrs(t, 2) // rank 0 never starts
+	const timeout = 50 * time.Millisecond
+	start := time.Now()
+	_, err := NewNetWorld(NetConfig{Size: 2, Rank: 1, Network: "unix", Addrs: addrs, DialTimeout: timeout}, DefaultOptions())
+	took := time.Since(start)
+	if err == nil {
+		t.Fatal("NewNetWorld connected to a rank that never bound its listener")
+	}
+	if took < timeout || took > timeout+2*time.Second {
+		t.Errorf("gave up after %v, want %v plus a little", took, timeout)
+	}
+	for _, want := range []string{"rank 1 dial rank 0", addrs[0]} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
 }
 
 func TestNetWorldPingPong(t *testing.T) {

@@ -21,14 +21,16 @@ import (
 
 // tracedNetWorlds runs the script on a P-rank unix-socket net world (one
 // goroutine per rank, each with its own World and trace — the launched
-// shape) and returns each rank's trace.
+// shape) and returns each rank's trace. No rank runs before every rank
+// has attached its trace, so every frame is decoded while traced.
 func tracedNetWorlds(t *testing.T, p int, body func(c *Comm)) []*obs.Trace {
 	t.Helper()
 	addrs := netAddrs(t, p)
 	traces := make([]*obs.Trace, p)
 	errs := make([]error, p)
-	var wg sync.WaitGroup
+	var wg, observed sync.WaitGroup
 	wg.Add(p)
+	observed.Add(p)
 	for r := 0; r < p; r++ {
 		go func(r int) {
 			defer wg.Done()
@@ -38,9 +40,12 @@ func tracedNetWorlds(t *testing.T, p int, body func(c *Comm)) []*obs.Trace {
 			}, DefaultOptions())
 			if err != nil {
 				errs[r] = err
+				observed.Done()
 				return
 			}
 			traces[r] = w.Observe()
+			observed.Done()
+			observed.Wait()
 			errs[r] = w.Run(body)
 			w.Close()
 		}(r)
@@ -206,6 +211,9 @@ func TestNetWireCounters(t *testing.T) {
 		if tx.SimHist != nil {
 			t.Errorf("rank %d: wire ops must not fabricate simulated durations", r)
 		}
+		if rx.WallNs <= 0 {
+			t.Errorf("rank %d: net.rx recorded no decode time for %d traced frames", r, rx.Count)
+		}
 	}
 	checkWireConservation(t, traces)
 }
@@ -255,8 +263,48 @@ func TestNetTryRecvWireCounters(t *testing.T) {
 			}
 		}
 	})
-	if n := opRow(traces[1].Metrics().PerRank[1], "net.rx").Count; n != 2 {
-		t.Errorf("rank 1 decoded %d frames, want 2 (the message and the Barrier token)", n)
+	rx := opRow(traces[1].Metrics().PerRank[1], "net.rx")
+	if rx.Count != 2 {
+		t.Errorf("rank 1 decoded %d frames, want 2 (the message and the Barrier token)", rx.Count)
+	}
+	if rx.WallNs <= 0 {
+		t.Error("rank 1's net.rx recorded no decode time for its traced frames")
 	}
 	checkWireConservation(t, traces)
+}
+
+// TestNetDecodeUntimedWithoutTrace: a rank with no trace attached reads
+// no clock per frame, so a frame decoded before Observe carries no
+// decode time into the trace that later receives it.
+func TestNetDecodeUntimedWithoutTrace(t *testing.T) {
+	worlds, errs := bringUp(netAddrs(t, 2), 10*time.Second)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+		defer worlds[r].Close()
+	}
+	if err := worlds[0].Run(func(c *Comm) { Send(c, 1, 3, []float64{1, 2, 3}) }); err != nil {
+		t.Fatal(err)
+	}
+	box := worlds[1].boxes[1]
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		box.mu.Lock()
+		n := box.nPending
+		box.mu.Unlock()
+		if n > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("rank 1 never decoded the frame")
+		}
+	}
+	trace := worlds[1].Observe()
+	if err := worlds[1].Run(func(c *Comm) { Recv[[]float64](c, 0, 3) }); err != nil {
+		t.Fatal(err)
+	}
+	rx := opRow(trace.Metrics().PerRank[1], "net.rx")
+	if rx.Count != 1 || rx.WallNs != 0 {
+		t.Errorf("net.rx = %d frames, %d ns of decode; want 1 frame decoded untraced, 0 ns", rx.Count, rx.WallNs)
+	}
 }

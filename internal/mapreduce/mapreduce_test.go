@@ -236,16 +236,55 @@ func TestHashKeyStability(t *testing.T) {
 // TestSignedZeroKeysReduceTogether: -0 and +0 are one key under == and in
 // Go maps, so all four of their values must reach one Reduce, on one rank.
 func TestSignedZeroKeysReduceTogether(t *testing.T) {
+	checkEqualKeysReduceTogether(t, 0, math.Copysign(0, -1))
+}
+
+// TestSignedZeroCompositeKeysReduceTogether: a struct, array or interface
+// key that holds -0 where its twin holds +0 equals it under ==, so the
+// twins are one key too.
+func TestSignedZeroCompositeKeysReduceTogether(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	job := &Job[int, float64, int, int]{
-		Map: func(in int, emit func(float64, int)) {
+	type point struct {
+		X    float64
+		_    int
+		Z    complex128
+		Name string
+	}
+	type nested struct {
+		P  [2]point
+		ID int8
+	}
+	t.Run("struct", func(t *testing.T) {
+		checkEqualKeysReduceTogether(t, point{X: 0, Z: 1, Name: "a"}, point{X: negZero, Z: complex(1, negZero), Name: "a"})
+	})
+	t.Run("array", func(t *testing.T) {
+		checkEqualKeysReduceTogether(t, [3]float32{1, 0, 2}, [3]float32{1, float32(negZero), 2})
+	})
+	t.Run("nested", func(t *testing.T) {
+		checkEqualKeysReduceTogether(t, nested{P: [2]point{{X: 0}, {X: 3}}, ID: 7}, nested{P: [2]point{{X: negZero}, {X: 3}}, ID: 7})
+	})
+	t.Run("interface", func(t *testing.T) {
+		checkEqualKeysReduceTogether[any](t, 0.0, negZero)
+	})
+}
+
+// checkEqualKeysReduceTogether requires keys a and b, equal under ==, to
+// reach one Reduce, on one rank, with all four of their values at
+// P = 1..5.
+func checkEqualKeysReduceTogether[K comparable](t *testing.T, a, b K) {
+	t.Helper()
+	if a != b {
+		t.Fatalf("%v and %v are not equal keys", a, b)
+	}
+	job := &Job[int, K, int, int]{
+		Map: func(in int, emit func(K, int)) {
 			if in%2 == 0 {
-				emit(0, 1)
+				emit(a, 1)
 			} else {
-				emit(negZero, 1)
+				emit(b, 1)
 			}
 		},
-		Reduce: func(_ float64, vs []int) int { return len(vs) },
+		Reduce: func(_ K, vs []int) int { return len(vs) },
 	}
 	for p := 1; p <= 5; p++ {
 		shards := cluster.SplitEven([]int{0, 1, 2, 3}, p)
