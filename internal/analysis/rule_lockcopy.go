@@ -99,7 +99,8 @@ func checkLockCopy(u *Unit, r *reporter) {
 					return true
 				}
 				for i, arg := range x.Args {
-					if !isCopySource(arg) {
+					// A type argument, as in new(sync.Mutex), copies nothing.
+					if !isCopySource(arg) || info.Types[arg].IsType() {
 						continue
 					}
 					pt := paramType(sig, i)

@@ -36,3 +36,11 @@ func waitGroupPointer() {
 	p := &wg
 	p.Wait()
 }
+
+// new takes a type, not a value: each call allocates a fresh lock and
+// copies none.
+func newLocks() (*sync.Mutex, *sync.WaitGroup, *guarded) {
+	m := map[int]*sync.Mutex{}
+	m[0] = new(sync.Mutex)
+	return new(sync.Mutex), new(sync.WaitGroup), new(guarded)
+}

@@ -266,19 +266,27 @@ const (
 
 // dialRetry dials addr until it connects or the deadline passes. A
 // refusal means the peer has not bound its listener yet, so it waits and
-// dials again, never sleeping past the deadline.
+// dials again, never sleeping past the deadline. Once the deadline has
+// passed it dials no more and returns the last refusal, which says why
+// the peer never answered: a dial left with almost no time fails as a
+// timeout instead, so a timeout stands only when no dial was refused.
 func dialRetry(network, addr string, deadline time.Time) (net.Conn, error) {
 	wait := dialWaitMin
+	var cause error
 	for {
 		conn, err := net.DialTimeout(network, addr, time.Until(deadline))
 		if err == nil {
 			return conn, nil
 		}
-		left := time.Until(deadline)
-		if left <= 0 {
-			return nil, err
+		if ne, ok := err.(net.Error); cause == nil || !ok || !ne.Timeout() {
+			cause = err
 		}
-		time.Sleep(min(wait, left))
+		if left := time.Until(deadline); left > 0 {
+			time.Sleep(min(wait, left))
+		}
+		if time.Until(deadline) <= 0 {
+			return nil, fmt.Errorf("%w (dial deadline passed)", cause)
+		}
 		wait = min(2*wait, dialWaitMax)
 	}
 }

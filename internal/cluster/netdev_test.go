@@ -115,22 +115,41 @@ func TestNetDialerFirstBringUp(t *testing.T) {
 
 // TestNetDialDeadline: when a peer never binds its listener, NewNetWorld
 // gives up once its DialTimeout has passed, not much later, with an error
-// naming the rank it dialed and that rank's address.
+// naming the rank it dialed, that rank's address and the refusal every
+// dial got, not the timeout of a dial made with no time left.
 func TestNetDialDeadline(t *testing.T) {
-	addrs := netAddrs(t, 2) // rank 0 never starts
-	const timeout = 50 * time.Millisecond
-	start := time.Now()
-	_, err := NewNetWorld(NetConfig{Size: 2, Rank: 1, Network: "unix", Addrs: addrs, DialTimeout: timeout}, DefaultOptions())
-	took := time.Since(start)
-	if err == nil {
-		t.Fatal("NewNetWorld connected to a rank that never bound its listener")
+	// A tcp port bound and released again: nothing listens on it.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback tcp: %v", err)
 	}
-	if took < timeout || took > timeout+2*time.Second {
-		t.Errorf("gave up after %v, want %v plus a little", took, timeout)
-	}
-	for _, want := range []string{"rank 1 dial rank 0", addrs[0]} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
+	closedPort := ln.Addr().String()
+	ln.Close()
+	for _, tc := range []struct {
+		network string
+		addrs   []string // rank 0 never starts
+		refusal string
+	}{
+		{"unix", netAddrs(t, 2), "no such file or directory"},
+		{"tcp", []string{closedPort, "127.0.0.1:0"}, "connection refused"},
+	} {
+		const timeout = 50 * time.Millisecond
+		start := time.Now()
+		_, err := NewNetWorld(NetConfig{Size: 2, Rank: 1, Network: tc.network, Addrs: tc.addrs, DialTimeout: timeout}, DefaultOptions())
+		took := time.Since(start)
+		if err == nil {
+			t.Fatalf("%s: NewNetWorld connected to a rank that never bound its listener", tc.network)
+		}
+		if took < timeout || took > timeout+2*time.Second {
+			t.Errorf("%s: gave up after %v, want %v plus a little", tc.network, took, timeout)
+		}
+		for _, want := range []string{"rank 1 dial rank 0", tc.addrs[0], tc.refusal} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", tc.network, err, want)
+			}
+		}
+		if strings.Contains(err.Error(), "i/o timeout") {
+			t.Errorf("%s: error %q reports a timeout, not the refusal", tc.network, err)
 		}
 	}
 }

@@ -83,6 +83,29 @@ func TestMapReduceMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestMapReduceRepeatedOnOneWorld: calls on one world, query sets large
+// and small, the combiner off and on in turn. Each per-point call appends
+// into the shuffle arrays an earlier one returned, and each call must
+// classify as SequentialHeap does.
+func TestMapReduceRepeatedOnOneWorld(t *testing.T) {
+	db, queries, _ := testData(6, 300, 40, 4, 3)
+	world := cluster.NewWorld(4)
+	for _, nq := range []int{40, 7, 40, 23} {
+		want := SequentialHeap(db, queries[:nq], 5)
+		for _, combiner := range []bool{false, true} {
+			got, err := MapReduce(world, db, queries[:nq], 5, combiner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%d queries, combiner=%v, query %d: %d want %d", nq, combiner, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestCombinerCutsShuffleBytes(t *testing.T) {
 	db, queries, _ := testData(5, 600, 30, 4, 3)
 	run := func(combiner bool) int64 {

@@ -53,8 +53,9 @@ func (b *batch[K, V]) add(k K, v V) {
 // wireKey stands for one (K, V, R) instantiation in registered.
 type wireKey[K comparable, V, R any] struct{}
 
-// registered holds a wireKey for every instantiation whose types
-// RegisterWireTypes has registered, so a repeat call is one lookup.
+// registered maps the wireKey of every instantiation whose types are
+// registered to that instantiation's *sync.Pool of spent batches (see
+// Run), so a repeat registration is one lookup.
 var registered sync.Map
 
 // RegisterWireTypes registers one (K, V, R) instantiation's cross-rank
@@ -66,16 +67,21 @@ var registered sync.Map
 // the box; it is exported for callers that build their own exchanges from
 // the same types. Safe to call repeatedly: after the first call for an
 // instantiation, a call allocates nothing.
-func RegisterWireTypes[K comparable, V, R any]() {
-	if _, done := registered.Load(wireKey[K, V, R]{}); done {
-		return
+func RegisterWireTypes[K comparable, V, R any]() { wireTypes[K, V, R]() }
+
+// wireTypes registers the (K, V, R) instantiation's wire types on its
+// first call and returns the instantiation's pool of spent batches.
+func wireTypes[K comparable, V, R any]() *sync.Pool {
+	if p, done := registered.Load(wireKey[K, V, R]{}); done {
+		return p.(*sync.Pool)
 	}
 	cluster.RegisterWire(
 		batch[K, V]{},
 		map[K]R(nil),
 		[]map[K]R(nil),
 	)
-	registered.Store(wireKey[K, V, R]{}, true)
+	p, _ := registered.LoadOrStore(wireKey[K, V, R]{}, new(sync.Pool))
+	return p.(*sync.Pool)
 }
 
 // keyGroups holds one destination rank's emissions per key, for a job
@@ -128,7 +134,7 @@ func (j *Job[I, K, V, R]) Run(c *cluster.Comm, inputs []I) map[K]R {
 	if j.Map == nil || j.Reduce == nil {
 		panic("mapreduce: Job needs Map and Reduce")
 	}
-	RegisterWireTypes[K, V, R]()
+	spent := wireTypes[K, V, R]()
 	pairBytes := j.PairBytes
 	if pairBytes <= 0 {
 		pairBytes = 16
@@ -146,6 +152,20 @@ func (j *Job[I, K, V, R]) Run(c *cluster.Comm, inputs []I) map[K]R {
 	mapWall := rec.Now()
 	mapSim := c.Clock()
 	parts := make([]batch[K, V], size)
+	// Without a combiner, each destination's batch starts from the arrays
+	// of a spent batch of an earlier job, when the pool has one, so emit
+	// appends into capacity instead of growing the arrays pair by pair.
+	// The spent batch lets go of the arrays at once: it sits in one slice
+	// with batches still in the pool, which keep it reachable, and should
+	// emit outgrow an array, the old one would hold values no job clears.
+	if j.Combine == nil {
+		for r := range parts {
+			if b, ok := spent.Get().(*batch[K, V]); ok {
+				parts[r] = batch[K, V]{Keys: b.Keys[:0], Ends: b.Ends[:0], Vals: b.Vals[:0]}
+				*b = batch[K, V]{}
+			}
+		}
+	}
 	var groups []keyGroups[K, V]
 	var emitted int64
 	var last K
@@ -212,6 +232,18 @@ func (j *Job[I, K, V, R]) Run(c *cluster.Comm, inputs []I) map[K]R {
 	collSim := c.Clock()
 	keys, starts, vals := collate(incoming)
 	nIn := len(vals)
+	// The received batches go back to the pool for a later job's emit:
+	// size taken, size returned. In-process they share their arrays with
+	// the senders' parts, but no rank reads a batch once collate has
+	// copied its pairs out. Keys and values are cleared first, so that a
+	// pooled batch keeps no finished job's keys or values reachable.
+	if j.Combine == nil {
+		for r := range incoming {
+			clear(incoming[r].Keys) //peachyvet:allow useaftersend — collate copied every pair out, and no rank reads a batch after the exchange
+			clear(incoming[r].Vals) //peachyvet:allow useaftersend — as above
+			spent.Put(&incoming[r])
+		}
+	}
 	rec.PhaseSpan("mr.collate", collSim, c.Clock(), collWall,
 		obs.KV{K: "pairs", V: int64(nIn)}, obs.KV{K: "keys", V: int64(len(keys))})
 	// Per-reducer skew marker: this rank's share of the shuffled keys and

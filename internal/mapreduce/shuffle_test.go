@@ -69,16 +69,20 @@ func orderModel(shards [][]int, combine bool) map[int][]int {
 	return want
 }
 
-func orderInputs(p int) [][]int {
-	inputs := make([]int, 40)
+func orderInputs(p int) [][]int { return spreadInputs(40, p) }
+
+// spreadInputs splits the inputs 0..n-1 over p ranks.
+func spreadInputs(n, p int) [][]int {
+	inputs := make([]int, n)
 	for i := range inputs {
 		inputs[i] = i
 	}
 	return cluster.SplitEven(inputs, p)
 }
 
-// shuffleRun is what one in-process run of a job shows: each rank's
-// results and simulated clock, and the world's message and byte counts.
+// shuffleRun is what running a job some times in a row on one world
+// shows: each run's results and simulated clocks, entry run*P+rank, and
+// the world's message and byte counts after the last run.
 type shuffleRun struct {
 	results []map[int][]int
 	clocks  []float64
@@ -88,12 +92,19 @@ type shuffleRun struct {
 
 func runInProcess(t *testing.T, job *Job[int, int, []int, []int], shards [][]int) shuffleRun {
 	t.Helper()
+	return runsInProcess(t, job, shards, 1)
+}
+
+func runsInProcess(t *testing.T, job *Job[int, int, []int, []int], shards [][]int, runs int) shuffleRun {
+	t.Helper()
 	p := len(shards)
-	run := shuffleRun{results: make([]map[int][]int, p), clocks: make([]float64, p)}
+	run := shuffleRun{results: make([]map[int][]int, runs*p), clocks: make([]float64, runs*p)}
 	w := cluster.NewWorld(p)
 	if err := w.Run(func(c *cluster.Comm) {
-		run.results[c.Rank()] = job.Run(c, shards[c.Rank()])
-		run.clocks[c.Rank()] = c.Clock()
+		for i := 0; i < runs; i++ {
+			run.results[i*p+c.Rank()] = job.Run(c, shards[c.Rank()])
+			run.clocks[i*p+c.Rank()] = c.Clock()
+		}
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -147,22 +158,24 @@ func TestReduceAppendLeavesOtherKeysAlone(t *testing.T) {
 	}
 }
 
-// TestShuffleOnNetWorld runs the order job on a 4-rank unix-socket net
-// world, one goroutine per rank as separate processes would run it, where
-// every batch crosses the wire codec. Results, simulated clocks and
-// traffic must equal the in-process run's.
+// TestShuffleOnNetWorld runs the order job three times on a 4-rank
+// unix-socket net world, one goroutine per rank as separate processes
+// would run it, where every batch crosses the wire codec and the second
+// and third runs append into decoded batches the runs before returned.
+// Results, simulated clocks and traffic must equal three runs on one
+// in-process world.
 func TestShuffleOnNetWorld(t *testing.T) {
-	const p = 4
+	const p, runs = 4, 3
 	for _, combine := range []bool{false, true} {
 		shards := orderInputs(p)
-		want := runInProcess(t, orderJob(combine), shards)
+		want := runsInProcess(t, orderJob(combine), shards, runs)
 
 		dir := t.TempDir()
 		addrs := make([]string, p)
 		for r := range addrs {
 			addrs[r] = filepath.Join(dir, fmt.Sprintf("%d.s", r))
 		}
-		got := shuffleRun{results: make([]map[int][]int, p), clocks: make([]float64, p)}
+		got := shuffleRun{results: make([]map[int][]int, runs*p), clocks: make([]float64, runs*p)}
 		errs := make([]error, p)
 		worlds := make([]*cluster.World, p)
 		var wg sync.WaitGroup
@@ -181,8 +194,10 @@ func TestShuffleOnNetWorld(t *testing.T) {
 				defer w.Close()
 				worlds[r] = w
 				errs[r] = w.Run(func(c *cluster.Comm) {
-					got.results[r] = orderJob(combine).Run(c, shards[r])
-					got.clocks[r] = c.Clock()
+					for i := 0; i < runs; i++ {
+						got.results[i*p+r] = orderJob(combine).Run(c, shards[r])
+						got.clocks[i*p+r] = c.Clock()
+					}
 				})
 			}(r)
 		}
