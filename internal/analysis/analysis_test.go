@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/types"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -242,4 +244,76 @@ func TestMainExitCodes(t *testing.T) {
 	if code := Main([]string{"-stats", "-json", "."}, &out, &errb); code != 2 {
 		t.Errorf("Main(-stats -json) = %d, want 2", code)
 	}
+}
+
+// BenchmarkFixturePass times one pass over the rule fixtures that import
+// nothing, split into its phases: "pass" is one Main -json run, "load"
+// parses the fixtures, "types" type-checks them and "rules" runs the
+// thirteen rules over type-checked units. A standard-library import costs
+// every Load a go/build scan of the package's directory, which would swamp
+// the per-file work this times; the whole-repository benchmarks cover
+// that. Run it at one CPU:
+//
+//	go test -run '^$' -bench FixturePass -benchmem -cpu 1 ./internal/analysis
+func BenchmarkFixturePass(b *testing.B) {
+	var dirs []string
+	for _, rule := range []string{"capture", "deadlock", "hotalloc", "rawgo",
+		"recvalias", "rolledcoll", "sendrecv", "useaftersend"} {
+		dirs = append(dirs, fixtureDir(rule))
+	}
+	load := func(b *testing.B) []*Unit {
+		units, err := Load(dirs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return units
+	}
+	for _, u := range load(b) {
+		for _, f := range u.Files {
+			if len(f.Imports) > 0 {
+				b.Fatalf("%s imports a package", u.Fset.Position(f.Pos()).Filename)
+			}
+		}
+	}
+	b.Run("pass", func(b *testing.B) {
+		args := append([]string{"-json"}, dirs...)
+		for i := 0; i < b.N; i++ {
+			if code := Main(args, io.Discard, io.Discard); code != 1 {
+				b.Fatalf("Main over the fixtures = %d, want 1", code)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			load(b)
+		}
+	})
+	// The types and rules phases start on a collected heap, so neither is
+	// charged for a collection the untimed set-up's garbage owes.
+	b.Run("types", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			units := load(b)
+			runtime.GC()
+			b.StartTimer()
+			for _, u := range units {
+				u.ensureTypes()
+			}
+		}
+	})
+	b.Run("rules", func(b *testing.B) {
+		cfg := DefaultConfig()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			units := load(b)
+			for _, u := range units {
+				u.ensureTypes()
+			}
+			runtime.GC()
+			b.StartTimer()
+			for _, u := range units {
+				Analyze(u, cfg)
+			}
+		}
+	})
 }

@@ -130,11 +130,32 @@ func isTerminalCall(call *ast.CallExpr) bool {
 	return false
 }
 
+// fileNodes lists, for each file of the unit and in ast.Inspect order,
+// the nodes the whole-file scans look for: function declarations and
+// literals, calls, go statements, assignments and range statements. It is
+// built on first use, so a pass walks each file once however many rules
+// scan it.
+func (u *Unit) fileNodes() [][]ast.Node {
+	if u.nodes == nil {
+		u.nodes = make([][]ast.Node, len(u.Files))
+		for i, f := range u.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n.(type) {
+				case *ast.FuncDecl, *ast.FuncLit, *ast.CallExpr, *ast.GoStmt, *ast.AssignStmt, *ast.RangeStmt:
+					u.nodes[i] = append(u.nodes[i], n)
+				}
+				return true
+			})
+		}
+	}
+	return u.nodes
+}
+
 // funcBodies enumerates every function body in the unit: declarations and
 // each function literal, so every closure is analyzed exactly once as its
 // own scope.
 func funcBodies(u *Unit, visit func(name string, body *ast.BlockStmt)) {
-	for _, f := range u.Files {
+	for i, f := range u.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -142,11 +163,10 @@ func funcBodies(u *Unit, visit func(name string, body *ast.BlockStmt)) {
 			}
 			visit(fd.Name.Name, fd.Body)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
+		for _, n := range u.fileNodes()[i] {
 			if lit, ok := n.(*ast.FuncLit); ok {
 				visit("func literal", lit.Body)
 			}
-			return true
-		})
+		}
 	}
 }

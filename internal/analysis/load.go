@@ -31,8 +31,9 @@ type Unit struct {
 	cfg        Config
 	allowLines map[string]map[int]map[string]bool // file -> line -> rules
 
-	sums *summarizer  // interprocedural summaries, built on demand
-	muts *mutAnalyzer // parameter-mutation summaries, built on demand
+	sums  *summarizer  // interprocedural summaries, built on demand
+	muts  *mutAnalyzer // parameter-mutation summaries, built on demand
+	nodes [][]ast.Node // per file, the nodes whole-file scans read (fileNodes)
 
 	// sentFacts memoizes per-callee payload facts (perf.go), shared by
 	// the ownership engine and the performance rules.
@@ -147,7 +148,10 @@ func loadDir(fset *token.FileSet, imp *lenientImporter, dir string) []*Unit {
 			continue
 		}
 		path := filepath.Join(dir, e.Name())
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		// Comments carry the allow directives and the fixtures' WANT
+		// markers. Names resolve through go/types alone, so the parser
+		// builds no ast.Object scopes.
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			loadErrs = append(loadErrs, loadErrFinding(path, err))
 			continue

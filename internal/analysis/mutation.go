@@ -7,8 +7,8 @@ import (
 
 // This file builds per-function mutation summaries: the set of parameters
 // (including the receiver) a function may write through — element or
-// field stores, copy/append into the backing array, or handing the
-// parameter to another unit-local function that does any of the above.
+// field stores, copy, clear or append into the backing array, or handing
+// the parameter to another unit-local function that does any of the above.
 // The ownership rule consults these at call sites so a buffer that is
 // mutated three helpers away from its Send is still caught.
 
@@ -104,7 +104,8 @@ func (m *mutAnalyzer) mutatedParams(fd *ast.FuncDecl) map[string]mutWrite {
 				record(x.X, x.Pos(), nil)
 			}
 		case *ast.CallExpr:
-			if name, ok := callFunIdent(x); ok && name == "copy" && len(x.Args) == 2 {
+			// copy(p, …) and clear(p) write p's elements.
+			if name, ok := callFunIdent(x); ok && (name == "copy" && len(x.Args) == 2 || name == "clear" && len(x.Args) == 1) {
 				record(x.Args[0], x.Pos(), nil)
 				return true
 			}

@@ -23,8 +23,8 @@ import (
 //   - explicitly locked closures: a closure that takes a mutex is assumed
 //     to have arranged its own synchronization.
 func checkCapture(u *Unit, r *reporter) {
-	for _, f := range u.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
+	for _, nodes := range u.fileNodes() {
+		for _, n := range nodes {
 			switch x := n.(type) {
 			case *ast.CallExpr:
 				switch callName(x) {
@@ -64,8 +64,7 @@ func checkCapture(u *Unit, r *reporter) {
 					analyzeClosure(u, r, lit, "go statement", true)
 				}
 			}
-			return true
-		})
+		}
 	}
 }
 
@@ -119,23 +118,6 @@ func analyzeClosure(u *Unit, r *reporter, lit *ast.FuncLit, label string, taintP
 	}
 	tainted := rankTaint(u, lit, seed)
 
-	captured := func(id *ast.Ident) bool {
-		if id.Name == "_" {
-			return false
-		}
-		if id.Obj == nil {
-			// Unresolved: a package-level variable from another file (a
-			// shared write) or an unresolvable name; report only when it
-			// is clearly not a type or function being shadowed.
-			return true
-		}
-		decl, ok := id.Obj.Decl.(ast.Node)
-		if !ok {
-			return false
-		}
-		return decl.Pos() < lit.Pos() || decl.Pos() >= lit.End()
-	}
-
 	isTaintedIndex := func(idx ast.Expr) bool {
 		safe := false
 		ast.Inspect(idx, func(n ast.Node) bool {
@@ -158,13 +140,13 @@ func analyzeClosure(u *Unit, r *reporter, lit *ast.FuncLit, label string, taintP
 		}
 		switch x := lhs.(type) {
 		case *ast.Ident:
-			if captured(x) {
+			if capturedBy(u, lit, x) {
 				r.report("capture", pos,
 					"write to captured variable %q inside %s: every rank/worker runs this concurrently — rank-guard it or give each rank its own slot", x.Name, label)
 			}
 		case *ast.IndexExpr:
 			base, ok := x.X.(*ast.Ident)
-			if !ok || !captured(base) {
+			if !ok || !capturedBy(u, lit, base) {
 				return
 			}
 			if tv, ok := u.info.Types[x.X]; ok {
@@ -179,12 +161,12 @@ func analyzeClosure(u *Unit, r *reporter, lit *ast.FuncLit, label string, taintP
 					"write to captured slice %q at a rank-independent index inside %s: ranks/workers may collide on the same element — index by rank or rank-guard it", base.Name, label)
 			}
 		case *ast.SelectorExpr:
-			if base, ok := x.X.(*ast.Ident); ok && captured(base) {
+			if base, ok := x.X.(*ast.Ident); ok && capturedBy(u, lit, base) {
 				r.report("capture", pos,
 					"write to field %s.%s of captured variable inside %s: every rank/worker runs this concurrently — rank-guard it", base.Name, x.Sel.Name, label)
 			}
 		case *ast.StarExpr:
-			if base, ok := x.X.(*ast.Ident); ok && captured(base) {
+			if base, ok := x.X.(*ast.Ident); ok && capturedBy(u, lit, base) {
 				r.report("capture", pos,
 					"write through captured pointer %q inside %s: every rank/worker runs this concurrently — rank-guard it", base.Name, label)
 			}
@@ -204,18 +186,9 @@ func analyzeClosure(u *Unit, r *reporter, lit *ast.FuncLit, label string, taintP
 	walkStmt = func(s ast.Stmt, guarded bool) {
 		switch x := s.(type) {
 		case *ast.AssignStmt:
-			if x.Tok == token.DEFINE {
-				// A := may still assign existing captured vars in a
-				// mixed-define statement only via outer scope; parser gives
-				// those idents the outer Obj, so check each anyway.
-			}
 			for _, lhs := range x.Lhs {
-				if x.Tok == token.DEFINE {
-					if id, ok := lhs.(*ast.Ident); ok && id.Obj != nil {
-						if decl, ok := id.Obj.Decl.(ast.Node); ok && decl.Pos() >= lit.Pos() && decl.Pos() < lit.End() {
-							continue // freshly defined inside the closure
-						}
-					}
+				if id, ok := lhs.(*ast.Ident); ok && x.Tok == token.DEFINE && !capturedBy(u, lit, id) {
+					continue // declared, or redeclared, inside the closure
 				}
 				checkWrite(lhs, x.Pos(), guarded)
 			}
@@ -289,6 +262,18 @@ func analyzeClosure(u *Unit, r *reporter, lit *ast.FuncLit, label string, taintP
 		}
 	}
 	walkBlock(lit.Body, false)
+}
+
+// capturedBy reports whether id names a variable lit captures: one that
+// go/types resolves to an object declared outside lit. A name it could
+// not resolve, a universe name and another package's object all count as
+// captured; the blank identifier never does.
+func capturedBy(u *Unit, lit *ast.FuncLit, id *ast.Ident) bool {
+	if id.Name == "_" {
+		return false
+	}
+	obj := u.info.ObjectOf(id)
+	return obj == nil || obj.Pkg() != u.typesPkg || obj.Pos() < lit.Pos() || obj.Pos() >= lit.End()
 }
 
 // branchGuards reports whether the then/else arm of an if with this
@@ -423,37 +408,24 @@ func analyzeDoSections(u *Unit, r *reporter, call *ast.CallExpr) {
 			section++
 			continue
 		}
-		captured := func(id *ast.Ident) bool {
-			if id.Name == "_" {
-				return false
-			}
-			if id.Obj == nil {
-				return true
-			}
-			decl, ok := id.Obj.Decl.(ast.Node)
-			if !ok {
-				return false
-			}
-			return decl.Pos() < lit.Pos() || decl.Pos() >= lit.End()
-		}
 		record := func(lhs ast.Expr, pos token.Pos) {
 			switch x := lhs.(type) {
 			case *ast.Ident:
-				if captured(x) {
+				if capturedBy(u, lit, x) {
 					writes["var "+x.Name] = append(writes["var "+x.Name], site{section, pos})
 				}
 			case *ast.SelectorExpr:
-				if base, ok := x.X.(*ast.Ident); ok && captured(base) {
+				if base, ok := x.X.(*ast.Ident); ok && capturedBy(u, lit, base) {
 					key := "field " + base.Name + "." + x.Sel.Name
 					writes[key] = append(writes[key], site{section, pos})
 				}
 			case *ast.IndexExpr:
-				if base, ok := x.X.(*ast.Ident); ok && captured(base) {
+				if base, ok := x.X.(*ast.Ident); ok && capturedBy(u, lit, base) {
 					key := "element of " + base.Name
 					writes[key] = append(writes[key], site{section, pos})
 				}
 			case *ast.StarExpr:
-				if base, ok := x.X.(*ast.Ident); ok && captured(base) {
+				if base, ok := x.X.(*ast.Ident); ok && capturedBy(u, lit, base) {
 					key := "pointee of " + base.Name
 					writes[key] = append(writes[key], site{section, pos})
 				}
@@ -465,10 +437,8 @@ func analyzeDoSections(u *Unit, r *reporter, call *ast.CallExpr) {
 				return false // nested literals are their own scope
 			case *ast.AssignStmt:
 				for _, lhs := range x.Lhs {
-					if x.Tok == token.DEFINE {
-						if id, ok := lhs.(*ast.Ident); ok && !captured(id) {
-							continue
-						}
+					if id, ok := lhs.(*ast.Ident); ok && x.Tok == token.DEFINE && !capturedBy(u, lit, id) {
+						continue // declared, or redeclared, inside the section
 					}
 					record(lhs, x.Pos())
 				}

@@ -270,11 +270,11 @@ func simulateBranch(u *Unit, r *reporter, br Effect, cont []Effect) {
 // every rank, whose matching Send appears only later in the body. Every
 // rank blocks at the receive, so no rank ever reaches the send.
 func checkUniformRecvFirst(u *Unit, r *reporter, s *summarizer) {
-	for _, f := range u.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
+	for _, nodes := range u.fileNodes() {
+		for _, n := range nodes {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || callName(call) != "Run" {
-				return true
+				continue
 			}
 			for _, a := range call.Args {
 				if lit, ok := a.(*ast.FuncLit); ok && isRankBody(lit) {
@@ -285,8 +285,7 @@ func checkUniformRecvFirst(u *Unit, r *reporter, s *summarizer) {
 					uniformScan(u, r, sum.Effects, &avail, &all)
 				}
 			}
-			return true
-		})
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func checkLockCopy(u *Unit, r *reporter) {
 		return false
 	}
 
-	for _, f := range u.Files {
+	for fi, f := range u.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
@@ -61,7 +61,7 @@ func checkLockCopy(u *Unit, r *reporter) {
 			}
 		}
 
-		ast.Inspect(f, func(n ast.Node) bool {
+		for _, n := range u.fileNodes()[fi] {
 			switch x := n.(type) {
 			case *ast.AssignStmt:
 				for i, rhs := range x.Rhs {
@@ -83,11 +83,11 @@ func checkLockCopy(u *Unit, r *reporter) {
 				}
 			case *ast.RangeStmt:
 				if x.Value == nil {
-					return true
+					continue
 				}
 				t := exprType(x.Value)
 				if t == nil {
-					return true
+					continue
 				}
 				if lockName := containsLock(t, nil); lockName != "" {
 					r.report("lockcopy", x.Value.Pos(),
@@ -96,7 +96,7 @@ func checkLockCopy(u *Unit, r *reporter) {
 			case *ast.CallExpr:
 				sig, ok := exprType(x.Fun).(*types.Signature)
 				if !ok {
-					return true
+					continue
 				}
 				for i, arg := range x.Args {
 					// A type argument, as in new(sync.Mutex), copies nothing.
@@ -116,8 +116,7 @@ func checkLockCopy(u *Unit, r *reporter) {
 					}
 				}
 			}
-			return true
-		})
+		}
 	}
 }
 

@@ -80,13 +80,12 @@ func spmdPass(u *Unit) []rawFinding {
 
 // eachFuncLit visits every function literal in the unit once.
 func eachFuncLit(u *Unit, visit func(lit *ast.FuncLit)) {
-	for _, f := range u.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
+	for _, nodes := range u.fileNodes() {
+		for _, n := range nodes {
 			if lit, ok := n.(*ast.FuncLit); ok {
 				visit(lit)
 			}
-			return true
-		})
+		}
 	}
 }
 

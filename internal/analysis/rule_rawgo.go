@@ -23,13 +23,12 @@ func checkRawGo(u *Unit, r *reporter) {
 			return
 		}
 	}
-	for _, f := range u.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
+	for _, nodes := range u.fileNodes() {
+		for _, n := range nodes {
 			if g, ok := n.(*ast.GoStmt); ok {
 				r.report("rawgo", g.Pos(),
 					"raw go statement bypasses the parallel substrates: use par.Pool/par.For (worksharing), cluster.World (SPMD) or locale.System, or annotate //peachyvet:allow rawgo with a reason")
 			}
-			return true
-		})
+		}
 	}
 }

@@ -16,16 +16,15 @@ import (
 // implement no CloneWire, and CloneWire implementations that return
 // shallow copies.
 func checkWireSafe(u *Unit, r *reporter) {
-	for _, f := range u.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
+	for _, nodes := range u.fileNodes() {
+		for _, n := range nodes {
 			switch x := n.(type) {
 			case *ast.CallExpr:
 				u.wireCheckCall(x, r)
 			case *ast.FuncDecl:
 				u.wireCheckCloner(x, r)
 			}
-			return true
-		})
+		}
 	}
 }
 

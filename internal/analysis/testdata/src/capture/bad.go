@@ -54,3 +54,19 @@ func badGoCapture() {
 	<-done
 	_ = count
 }
+
+// A package-level variable, declared in another file, is shared by every
+// rank.
+func badPackageVar(w *World) {
+	w.Run(func(c *Comm) {
+		hits++ // WANT capture
+	})
+}
+
+// Two par.Do sections assign the same package-level variable.
+func badDoPackageVar() {
+	Do(
+		func() { hits = 1 },
+		func() { hits = 2 }, // WANT capture
+	)
+}

@@ -53,3 +53,30 @@ func goodDoDisjointFields(n *node) {
 		func() { n.right = 2 },
 	)
 }
+
+// The first := declares a local total that shadows the outer one, and the
+// mixed := after it redeclares that local: neither writes the captured
+// variable.
+func goodShadowedLocal(w *World) {
+	total := 0
+	w.Run(func(c *Comm) {
+		total := c.Rank()
+		n, total := total+1, total*2
+		_, _ = n, total
+	})
+	_ = total
+}
+
+// Each par.Do section declares its own x.
+func goodDoLocals() {
+	Do(
+		func() {
+			x := 1
+			_ = x
+		},
+		func() {
+			x := 2
+			_ = x
+		},
+	)
+}

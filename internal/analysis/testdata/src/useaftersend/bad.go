@@ -80,3 +80,11 @@ func loopWrap(c *Comm, buf []float64) {
 		Send(c, 1, tagC, buf)
 	}
 }
+
+// Clearing the buffer inside a helper is the same write as scale's.
+func clearViaHelper(c *Comm, buf []float64) {
+	Send(c, 1, tagA, buf)
+	zero(buf) // WANT useaftersend
+}
+
+func zero(xs []float64) { clear(xs) }

@@ -202,11 +202,19 @@ func (u *Unit) ensureTypes() {
 		IgnoreFuncBodies: false,
 		FakeImportC:      true,
 	}
+	// Size the maps from the source, so go/types does not regrow them as
+	// it fills them. The divisors are source bytes per entry, the larger
+	// of this repository's and the analyzer fixtures' ratios, so no map
+	// starts much larger than it ends.
+	size := 0
+	for _, f := range u.Files {
+		size += u.Fset.File(f.Pos()).Size()
+	}
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types:      make(map[ast.Expr]types.TypeAndValue, size/13),
+		Defs:       make(map[*ast.Ident]types.Object, size/70),
+		Uses:       make(map[*ast.Ident]types.Object, size/25),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection, size/500),
 	}
 	pkg, _ := conf.Check(u.path, u.Fset, u.Files, info) // errors intentionally ignored
 	u.info = info
