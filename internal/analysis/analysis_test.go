@@ -179,6 +179,30 @@ func TestSuppressionDirective(t *testing.T) {
 	}
 }
 
+// TestCaptureFindingOrderIsStable analyzes the capture fixture 20 times.
+// Its badDoSectionsPair reports `var a` and `var b` at one position, an
+// order Analyze's sort leaves to the rule, so every analysis must print
+// byte-identical JSON with the two findings in key order.
+func TestCaptureFindingOrderIsStable(t *testing.T) {
+	args := []string{"-rules", "capture", "-json", fixtureDir("capture")}
+	var first string
+	for i := 0; i < 20; i++ {
+		var out, errb bytes.Buffer
+		if code := Main(args, &out, &errb); code != 1 {
+			t.Fatalf("Main(%v) = %d, want 1\nstderr: %s", args, code, errb.String())
+		}
+		if i == 0 {
+			first = out.String()
+		} else if out.String() != first {
+			t.Fatalf("analysis %d printed\n%s\nthe first printed\n%s", i+1, out.String(), first)
+		}
+	}
+	a, b := strings.Index(first, "captured var a:"), strings.Index(first, "captured var b:")
+	if a < 0 || b < a {
+		t.Errorf("want the var a finding, then the var b finding:\n%s", first)
+	}
+}
+
 // TestMainExitCodes drives the shared CLI entry point: 1 on each bad
 // fixture, 0 on a clean package, 2 on usage errors.
 func TestMainExitCodes(t *testing.T) {

@@ -207,3 +207,45 @@ func TestLoadsShareOneStdUniverse(t *testing.T) {
 		t.Errorf("two Loads type-checked sync apart: %p and %p", a, b)
 	}
 }
+
+// failingImporter fails every import.
+type failingImporter struct{}
+
+func (failingImporter) Import(path string) (*types.Package, error) {
+	return nil, fmt.Errorf("no package %q", path)
+}
+
+// TestLockedImporterCachesPackages checks that the std universe's
+// lockedImporter answers a repeat import from its cache: a second
+// Import("os") returns the same *types.Package without asking the
+// importer it wraps, whose go/build directory scan costs milliseconds.
+// A failed import is not kept, so the next one asks again.
+func TestLockedImporterCachesPackages(t *testing.T) {
+	rec := &recordingImporter{Importer: stdUniverse}
+	l := &lockedImporter{imp: rec}
+	first, err := l.Import("os")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := l.Import("os")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second != first {
+		t.Errorf("a second Import(\"os\") returned %p, the first %p", second, first)
+	}
+	if !slices.Equal(rec.paths, []string{"os"}) {
+		t.Errorf("the wrapped importer was asked for %q, want os once", rec.paths)
+	}
+
+	rec = &recordingImporter{Importer: failingImporter{}}
+	l = &lockedImporter{imp: rec}
+	for i := 0; i < 2; i++ {
+		if _, err := l.Import("os"); err == nil {
+			t.Fatal("an import the wrapped importer failed succeeded")
+		}
+	}
+	if len(rec.paths) != 2 {
+		t.Errorf("after two failed imports the wrapped importer was asked %d times, want 2", len(rec.paths))
+	}
+}

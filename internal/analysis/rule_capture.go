@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 )
 
 // checkCapture flags writes to captured outer state inside SPMD closures
@@ -450,7 +451,15 @@ func analyzeDoSections(u *Unit, r *reporter, call *ast.CallExpr) {
 		section++
 	}
 
-	for key, sites := range writes {
+	// Two keys can report at one position (`a, b = 3, 4`), and Analyze's
+	// sort keeps no order among equal positions, so report in key order.
+	keys := make([]string, 0, len(writes))
+	for key := range writes {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		sites := writes[key]
 		first := sites[0].section
 		for _, s := range sites[1:] {
 			if s.section != first {

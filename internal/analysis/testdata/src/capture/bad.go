@@ -43,6 +43,17 @@ func badDoSections() {
 	_ = x
 }
 
+// Two par.Do sections both assign a and b: two findings at one position,
+// which must come out in the same order on every run.
+func badDoSectionsPair() {
+	a, b := 0, 0
+	Do(
+		func() { a, b = 1, 2 },
+		func() { a, b = 3, 4 }, // WANT capture
+	)
+	_, _ = a, b
+}
+
 // A raw goroutine mutating captured state is the same hazard.
 func badGoCapture() {
 	count := 0

@@ -57,16 +57,30 @@ var stdUniverse types.Importer = &lockedImporter{imp: importer.ForCompiler(token
 
 // lockedImporter serializes an importer that is not safe for concurrent
 // use. The packages it returns are complete, and concurrent type checks
-// only read them.
+// only read them. It keeps every package imp returned without error, by
+// path, and answers a repeat import from there: the source importer scans
+// the package's directory with go/build on every Import, milliseconds for
+// a std package, before it looks in its own cache.
 type lockedImporter struct {
-	mu  sync.Mutex
-	imp types.Importer
+	mu   sync.Mutex
+	imp  types.Importer
+	pkgs map[string]*types.Package
 }
 
 func (l *lockedImporter) Import(path string) (*types.Package, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.imp.Import(path)
+	if pkg, ok := l.pkgs[path]; ok {
+		return pkg, nil
+	}
+	pkg, err := l.imp.Import(path)
+	if err == nil {
+		if l.pkgs == nil {
+			l.pkgs = map[string]*types.Package{}
+		}
+		l.pkgs[path] = pkg
+	}
+	return pkg, err
 }
 
 func newLenientImporter(fset *token.FileSet) *lenientImporter {

@@ -13,6 +13,12 @@
 //     map tasks parse database shards and emit per-query candidates, local
 //     combiners perform the per-rank reduction the assignment highlights,
 //     and reducers merge candidates and vote.
+//
+// Every heap loop here checks a distance against the heap's Bound before
+// it calls Offer, so a candidate that cannot enter the k nearest costs
+// one compare, not a call, and a NaN or +Inf distance, which no bound
+// admits, is never kept: the MapReduce arms skip what SequentialHeap
+// skips.
 package knn
 
 import (
@@ -316,7 +322,9 @@ func MapReduce(world *cluster.World, db *dataio.Dataset, queries [][]float64, k 
 			Reduce: func(_ int, cands []Candidate) int {
 				h := heapk.New[int](k)
 				for _, c := range cands {
-					h.Offer(c.Dist, c.Class)
+					if c.Dist < h.Bound() {
+						h.Offer(c.Dist, c.Class)
+					}
 				}
 				return voteHeap(h)
 			},
@@ -358,7 +366,9 @@ func MapReduce(world *cluster.World, db *dataio.Dataset, queries [][]float64, k 
 			h := heapk.New[int](k)
 			for _, list := range lists {
 				for _, c := range list {
-					h.Offer(c.Dist, c.Class)
+					if c.Dist < h.Bound() {
+						h.Offer(c.Dist, c.Class)
+					}
 				}
 			}
 			items := h.Sorted()
@@ -372,7 +382,9 @@ func MapReduce(world *cluster.World, db *dataio.Dataset, queries [][]float64, k 
 			h := heapk.New[int](k)
 			for _, list := range lists {
 				for _, c := range list {
-					h.Offer(c.Dist, c.Class)
+					if c.Dist < h.Bound() {
+						h.Offer(c.Dist, c.Class)
+					}
 				}
 			}
 			return voteHeap(h)

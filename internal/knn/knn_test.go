@@ -1,6 +1,8 @@
 package knn
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -103,6 +105,94 @@ func TestMapReduceRepeatedOnOneWorld(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// perPointMatchesHeap checks that the per-point MapReduce arm predicts
+// what SequentialHeap does at P = 1..5.
+func perPointMatchesHeap(t *testing.T, db *dataio.Dataset, queries [][]float64, k int) {
+	t.Helper()
+	want := SequentialHeap(db, queries, k)
+	for p := 1; p <= 5; p++ {
+		got, err := MapReduce(cluster.NewWorld(p), db, queries, k, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("P=%d: predicted %v, SequentialHeap %v", p, got, want)
+		}
+	}
+}
+
+// TestMapReducePerPointTiesAtTheBound: when more candidates share a
+// distance than the heap has room for, which of them it keeps decides
+// the vote. The per-point arm's reducer sees a query's candidates by
+// source rank and then in emission order, which is database order, and
+// must keep the ones SequentialHeap keeps. From the origin, a far
+// class-2 point comes first, then ten points at one distance, the first
+// three class 0 and the rest class 1: with k=5 the first five vote 0, and
+// each later one ties with the full heap's bound, which enters neither
+// heap. The other queries tie on repeated points and on (4, 0) and
+// (2, 0).
+func TestMapReducePerPointTiesAtTheBound(t *testing.T) {
+	db := &dataio.Dataset{Dim: 2, Classes: 3}
+	add := func(x, y float64, class int) {
+		db.Points = append(db.Points, []float64{x, y})
+		db.Labels = append(db.Labels, class)
+	}
+	add(9, 9, 2)
+	for i := 0; i < 10; i++ {
+		class := 1
+		if i < 3 {
+			class = 0
+		}
+		// (±1, 0) and (0, ±1) are all at squared distance 1 from the
+		// origin.
+		switch i % 4 {
+		case 0:
+			add(1, 0, class)
+		case 1:
+			add(-1, 0, class)
+		case 2:
+			add(0, 1, class)
+		default:
+			add(0, -1, class)
+		}
+	}
+	add(4, 0, 1) // at squared distance 1 from (3, 0), as is (2, 0)
+	add(2, 0, 0)
+	queries := [][]float64{{0, 0}, {3, 0}, {0.5, 0}, {1, 0}}
+	if got := SequentialHeap(db, queries[:1], 5); got[0] != 0 {
+		t.Fatalf("k=5: SequentialHeap votes %d at the origin, want 0 (the first five tied points)", got[0])
+	}
+	for _, k := range []int{1, 3, 5, 8} {
+		perPointMatchesHeap(t, db, queries, k)
+	}
+}
+
+// TestMapReducePerPointSkipsNaNAndInf: database rows holding NaN or ±Inf
+// coordinates lie at a NaN or +Inf distance, which no bound admits, so
+// SequentialHeap never keeps them, and nor may the per-point arm or
+// ClassifyOpts. Every seventh row, the first included, and the last row
+// are such rows.
+func TestMapReducePerPointSkipsNaNAndInf(t *testing.T) {
+	db, queries, _ := testData(8, 300, 30, 4, 3)
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := [][]float64{
+		{nan, nan, nan, nan},
+		{inf, 0, 0, 0},
+		{0, -inf, 0, 0},
+		{0, 0, nan, 1},
+		{inf, -inf, 0, 0}, // (q - Inf) and (q + Inf) square to +Inf
+	}
+	for i := 0; i < len(db.Points); i += 7 {
+		db.Points[i] = bad[(i/7)%len(bad)]
+	}
+	db.Points[len(db.Points)-1] = bad[0]
+	perPointMatchesHeap(t, db, queries, 5)
+	perPointMatchesHeap(t, db, queries, 1)
+	if got, want := ClassifyOpts(db, queries, Options{K: 5}), SequentialHeap(db, queries, 5); !slices.Equal(got, want) {
+		t.Errorf("ClassifyOpts predicted %v, SequentialHeap %v", got, want)
 	}
 }
 

@@ -121,7 +121,9 @@ func ClassifyOpts(db *dataio.Dataset, queries [][]float64, opts Options) []int {
 	par.For(len(queries), opts.Workers, func(qi int) {
 		h := heapk.New[int](opts.K)
 		for i, p := range db.Points {
-			h.Offer(opts.Metric.Distance(queries[qi], p), db.Labels[i])
+			if d := opts.Metric.Distance(queries[qi], p); d < h.Bound() {
+				h.Offer(d, db.Labels[i])
+			}
 		}
 		items := h.Sorted()
 		cands := make([]Candidate, len(items))

@@ -40,14 +40,32 @@ type batch[K comparable, V any] struct {
 // WireSize implements cluster.Sizer.
 func (b batch[K, V]) WireSize() int { return len(b.Vals) * b.PairBytes }
 
-// add appends the pair (k, v), extending the last run when it holds k.
-func (b *batch[K, V]) add(k K, v V) {
+// router routes the pairs of a job without a combiner into the
+// destination batches. Its open run is the last run of the batch open
+// points to, and holds the key last, so Run's emit adds a value of last
+// with one append and leaves every other key to route. A run's end is
+// stored in Ends when its batch opens the next run; Run stores each
+// batch's last after the map.
+type router[K comparable, V any] struct {
+	parts []batch[K, V] // by destination rank
+	last  K
+	open  *batch[K, V] // nil before the first pair
+}
+
+// route adds the pair (k, v) when k is not the open run's key: it opens a
+// run for k in the batch of k's rank, or reopens that batch's last run
+// when it holds k.
+func (r *router[K, V]) route(k K, v V) {
+	b := &r.parts[hashKey(k)%uint64(len(r.parts))]
 	if n := len(b.Keys); n == 0 || b.Keys[n-1] != k {
+		if n > 0 {
+			b.Ends[n-1] = len(b.Vals)
+		}
 		b.Keys = append(b.Keys, k)
 		b.Ends = append(b.Ends, 0)
 	}
 	b.Vals = append(b.Vals, v)
-	b.Ends[len(b.Ends)-1] = len(b.Vals)
+	r.last, r.open = k, b
 }
 
 // wireKey stands for one (K, V, R) instantiation in registered.
@@ -147,7 +165,7 @@ func (j *Job[I, K, V, R]) Run(c *cluster.Comm, inputs []I) map[K]R {
 	// emission order; with one, values are grouped per key as they arrive,
 	// because Combine needs each key's values together. Emissions tend to
 	// come in runs of equal keys (kNN emits a query's candidates together),
-	// so the last key's rank, and with a combiner its group, is kept and
+	// so the last key's run, and with a combiner its group, stays open and
 	// hashKey runs only when the key changes.
 	mapWall := rec.Now()
 	mapSim := c.Clock()
@@ -166,20 +184,24 @@ func (j *Job[I, K, V, R]) Run(c *cluster.Comm, inputs []I) map[K]R {
 			}
 		}
 	}
+	var emit func(K, V)
 	var groups []keyGroups[K, V]
 	var emitted int64
-	var last K
-	dst := -1 // last's rank, or -1 before the first emission
-	emit := func(k K, v V) {
-		if dst < 0 || k != last {
-			last, dst = k, int(hashKey(k)%uint64(size))
+	if j.Combine == nil {
+		// The fast path is inline and route out of line, so emit holds
+		// one captured pointer and a run's value costs one append.
+		rt := &router[K, V]{parts: parts}
+		emit = func(k K, v V) {
+			if b := rt.open; b != nil && k == rt.last {
+				b.Vals = append(b.Vals, v)
+				return
+			}
+			rt.route(k, v)
 		}
-		parts[dst].add(k, v)
-		emitted++
-	}
-	if j.Combine != nil {
+	} else {
 		groups = make([]keyGroups[K, V], size)
-		var gi int // last's position in groups[dst]
+		var last K
+		dst, gi := -1, 0 // last's rank, or -1 before the first emission, and its position in groups[dst]
 		emit = func(k K, v V) {
 			if dst < 0 || k != last {
 				last, dst = k, int(hashKey(k)%uint64(size))
@@ -192,6 +214,15 @@ func (j *Job[I, K, V, R]) Run(c *cluster.Comm, inputs []I) map[K]R {
 	}
 	for _, in := range inputs {
 		j.Map(in, emit)
+	}
+	if j.Combine == nil {
+		for r := range parts {
+			b := &parts[r]
+			if n := len(b.Ends); n > 0 {
+				b.Ends[n-1] = len(b.Vals) // the batch's last run, which no later run closed
+			}
+			emitted += int64(len(b.Vals))
+		}
 	}
 	rec.PhaseSpan("mr.map", mapSim, c.Clock(), mapWall,
 		obs.KV{K: "inputs", V: int64(len(inputs))}, obs.KV{K: "pairs", V: emitted})

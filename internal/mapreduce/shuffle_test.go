@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/prng"
 )
 
 // The shuffle's contract: each key's values reach Combine and Reduce by
@@ -416,6 +417,21 @@ var boundaryCases = []boundaryCase{
 	newBoundaryCase("NaN", orderInputs, func(p, in int) []float64 {
 		nan := math.NaN()
 		return []float64{nan, nan, 1.5, nan, 1.5, float64(in % 2)}
+	}),
+	// All of the above at random: runs of one to three equal keys, seeded
+	// by the input, from six keys that spread over the ranks, with NaN and
+	// with −0 beside +0, which == equates, so their values join one key.
+	newBoundaryCase("random", orderInputs, func(p, in int) []float64 {
+		alphabet := []float64{0, math.Copysign(0, -1), 1.5, 2, 3, 4, math.NaN()}
+		rng := prng.New(uint64(in))
+		var keys []float64
+		for len(keys) < 24 {
+			k := alphabet[rng.Intn(len(alphabet))]
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				keys = append(keys, k)
+			}
+		}
+		return keys
 	}),
 }
 
