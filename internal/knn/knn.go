@@ -19,6 +19,15 @@
 // one compare, not a call, and a NaN or +Inf distance, which no bound
 // admits, is never kept: the MapReduce arms skip what SequentialHeap
 // skips.
+//
+// When candidates tie at the k-th distance, which of them a variant keeps
+// can decide the vote. SequentialHeap, Parallel and the per-point
+// MapReduce arm (no combiner) offer each query's candidates in database
+// order to the same bounded heap, so they keep the same neighbours and
+// predict alike on any data. SequentialSort (its sort is not stable),
+// KDTree (tree order) and the combiner arm (annulus scan order) may keep
+// another tied neighbour and predict another class; on data without
+// ties every variant agrees.
 package knn
 
 import (
@@ -313,9 +322,24 @@ func MapReduce(world *cluster.World, db *dataio.Dataset, queries [][]float64, k 
 		// against: every candidate crosses the wire.
 		return predict(world, shards, len(queries), &mapreduce.Job[dbShard, int, Candidate, int]{
 			Map: func(shard dbShard, emit func(int, Candidate)) {
+				// Four points at a time, so that SqDist4 overlaps
+				// their add chains, emitted in point order: the
+				// reducer's heap keeps the tied candidates
+				// SequentialHeap keeps only if emission order is
+				// database order.
+				pts, labels := shard.Points, shard.Labels
+				n4 := len(pts) &^ 3
 				for qi, q := range queries {
-					for i, p := range shard.Points {
-						emit(qi, Candidate{linalg.SqDist(q, p), shard.Labels[i]})
+					i := 0
+					for ; i < n4; i += 4 {
+						d0, d1, d2, d3 := linalg.SqDist4(q, pts[i], pts[i+1], pts[i+2], pts[i+3])
+						emit(qi, Candidate{d0, labels[i]})
+						emit(qi, Candidate{d1, labels[i+1]})
+						emit(qi, Candidate{d2, labels[i+2]})
+						emit(qi, Candidate{d3, labels[i+3]})
+					}
+					for ; i < len(pts); i++ {
+						emit(qi, Candidate{linalg.SqDist(q, pts[i]), labels[i]})
 					}
 				}
 			},
@@ -394,9 +418,14 @@ func MapReduce(world *cluster.World, db *dataio.Dataset, queries [][]float64, k 
 }
 
 // predict runs job on world, each rank mapping its own shard, and returns
-// the predictions gathered on rank 0, indexed by query.
+// the predictions gathered on rank 0, indexed by query. A query no rank
+// reduced had no candidates, as on an empty database, and gets -1, which
+// is what Vote returns for no candidates.
 func predict[V any](world *cluster.World, shards []dbShard, nq int, job *mapreduce.Job[dbShard, int, V, int]) ([]int, error) {
 	preds := make([]int, nq)
+	for qi := range preds {
+		preds[qi] = -1
+	}
 	err := world.Run(func(c *cluster.Comm) {
 		merged := job.RunToRoot(c, []dbShard{shards[c.Rank()]})
 		if c.Rank() == 0 {

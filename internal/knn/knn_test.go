@@ -1,12 +1,14 @@
 package knn
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/dataio"
+	"repro/internal/prng"
 	"repro/internal/spatial"
 )
 
@@ -29,6 +31,9 @@ func TestVoteMajorityAndTies(t *testing.T) {
 	}
 }
 
+// TestHeapMatchesSort: SequentialSort's sort is not stable, so at ties
+// it may keep another neighbour than the heap; this test's continuous
+// Gaussian data has no ties.
 func TestHeapMatchesSort(t *testing.T) {
 	db, queries, _ := testData(1, 400, 60, 5, 3)
 	a := SequentialSort(db, queries, 7)
@@ -167,6 +172,85 @@ func TestMapReducePerPointTiesAtTheBound(t *testing.T) {
 	}
 	for _, k := range []int{1, 3, 5, 8} {
 		perPointMatchesHeap(t, db, queries, k)
+	}
+}
+
+// gridData returns n database points and q queries whose coordinates
+// are integers in [0, side), with classes drawn at random, so that many
+// candidates tie at the k-th distance and which of them a variant keeps
+// decides many votes.
+func gridData(seed uint64, n, q, dim, side, classes int) (*dataio.Dataset, [][]float64) {
+	r := prng.New(seed)
+	point := func() []float64 {
+		p := make([]float64, dim)
+		for i := range p {
+			p[i] = float64(r.Intn(side))
+		}
+		return p
+	}
+	db := &dataio.Dataset{Dim: dim, Classes: classes}
+	for i := 0; i < n; i++ {
+		db.Points = append(db.Points, point())
+		db.Labels = append(db.Labels, r.Intn(classes))
+	}
+	queries := make([][]float64, q)
+	for i := range queries {
+		queries[i] = point()
+	}
+	return db, queries
+}
+
+// TestPerPointAndParallelKeepHeapTies: on tie-heavy grid data the
+// per-point MapReduce arm and Parallel keep the tied neighbours
+// SequentialHeap keeps. The per-point map computes four points at a time
+// and must still emit them in database order; 60 to 63 points give shard
+// sizes 0 to 3 mod 4 at every P, so the four-point loop ends with each
+// tail length. d = 2 runs SqDist's scalar path, d = 20 its unrolled one.
+func TestPerPointAndParallelKeepHeapTies(t *testing.T) {
+	for _, grid := range []struct{ dim, side int }{{2, 5}, {20, 2}} {
+		for n := 60; n < 64; n++ {
+			db, queries := gridData(uint64(100*grid.dim+n), n, 20, grid.dim, grid.side, 3)
+			for _, k := range []int{1, 3, 5, 7} {
+				t.Run(fmt.Sprintf("d=%d/n=%d/k=%d", grid.dim, n, k), func(t *testing.T) {
+					perPointMatchesHeap(t, db, queries, k)
+					want := SequentialHeap(db, queries, k)
+					for _, w := range []int{1, 2, 4, 7} {
+						if got := Parallel(db, queries, k, w); !slices.Equal(got, want) {
+							t.Errorf("workers=%d: Parallel %v, SequentialHeap %v", w, got, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestMapReduceTinyDatabases: on an empty database no variant has a
+// neighbour to vote with, and SequentialHeap predicts -1, Vote(nil)'s
+// answer, for every query; with fewer points than ranks some shards are
+// empty. Both MapReduce arms must predict what SequentialHeap does at
+// P = 1..5.
+func TestMapReduceTinyDatabases(t *testing.T) {
+	queries := [][]float64{{0, 0}, {1, 2}, {-3, 1}}
+	empty := &dataio.Dataset{Dim: 2, Classes: 2}
+	few := &dataio.Dataset{Dim: 2, Classes: 3,
+		Points: [][]float64{{0, 1}, {2, 2}, {-3, 0}}, Labels: []int{2, 1, 1}}
+	if got := SequentialHeap(empty, queries, 2); !slices.Equal(got, []int{-1, -1, -1}) {
+		t.Fatalf("empty database: SequentialHeap predicted %v, want -1 for each query", got)
+	}
+	for _, db := range []*dataio.Dataset{empty, few} {
+		want := SequentialHeap(db, queries, 2)
+		for p := 1; p <= 5; p++ {
+			for _, combiner := range []bool{false, true} {
+				got, err := MapReduce(cluster.NewWorld(p), db, queries, 2, combiner)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%d points, P=%d, combiner=%v: predicted %v, SequentialHeap %v", db.Len(), p, combiner, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -211,7 +211,10 @@ func Softmax(dst, x []float64) {
 // kernels beat the plain scalar loop (measured: scalar wins at d=8,
 // unrolled wins at d=40; see kernel_bench_test.go). SqDist and
 // SqDistBounded must dispatch on the same threshold so below-bound
-// results stay bit-identical between them.
+// results stay bit-identical between them. Below it a distance is one
+// chain of dependent adds, so it is bound by add latency, not by
+// arithmetic; a caller with several rows against one vector overlaps
+// four chains with SqDist4.
 const sqDistUnrollMin = 16
 
 // SqDist returns the squared Euclidean distance between a and b — the
@@ -249,6 +252,33 @@ func SqDist(a, b []float64) float64 {
 		tail += d * d
 	}
 	return ((s0 + s1) + (s2 + s3)) + tail
+}
+
+// SqDist4 returns the squared Euclidean distances from a to b0, b1, b2
+// and b3, each bit-identical to SqDist(a, bj). Below sqDistUnrollMin one
+// loop takes the scalar path's steps for all four rows, so their four
+// add chains overlap; at or above it SqDist's own accumulators already
+// do, and SqDist4 calls it four times. Any length mismatch panics as in
+// SqDist.
+func SqDist4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	if len(a) != len(b0) || len(a) != len(b1) || len(a) != len(b2) || len(a) != len(b3) {
+		panic("linalg: SqDist length mismatch")
+	}
+	if len(a) >= sqDistUnrollMin {
+		return SqDist(a, b0), SqDist(a, b1), SqDist(a, b2), SqDist(a, b3)
+	}
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	for i, v := range a {
+		d0 := v - b0[i]
+		d1 := v - b1[i]
+		d2 := v - b2[i]
+		d3 := v - b3[i]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	return s0, s1, s2, s3
 }
 
 // SqDistBounded is SqDist with an early exit: once the partial sum

@@ -184,6 +184,66 @@ func TestSqDist(t *testing.T) {
 	}
 }
 
+// TestSqDist4MatchesSqDist: each of SqDist4's results has the bits of
+// SqDist on its row, at every length on both sides of sqDistUnrollMin,
+// for random rows and for rows drawn from NaN, ±Inf, ±0, subnormals and
+// values whose squares overflow.
+func TestSqDist4MatchesSqDist(t *testing.T) {
+	r := prng.New(27)
+	special := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -4 * math.SmallestNonzeroFloat64, 0x1p-1030,
+		1e200, -1e200, math.MaxFloat64, 1, -2.5,
+	}
+	row := func(n int, pick func() float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = pick()
+		}
+		return v
+	}
+	random := func() float64 { return r.Norm(0, 1e3) }
+	edge := func() float64 { return special[r.Intn(len(special))] }
+	for n := 0; n <= 40; n++ {
+		for trial := 0; trial < 20; trial++ {
+			pick := random
+			if trial%2 == 1 {
+				pick = edge
+			}
+			a := row(n, pick)
+			b := [4][]float64{row(n, pick), row(n, pick), row(n, pick), row(n, pick)}
+			var got [4]float64
+			got[0], got[1], got[2], got[3] = SqDist4(a, b[0], b[1], b[2], b[3])
+			for j := range b {
+				if want := SqDist(a, b[j]); math.Float64bits(got[j]) != math.Float64bits(want) {
+					t.Fatalf("n=%d trial %d row %d: SqDist4 %v (%#x), SqDist %v (%#x)\na  %v\nb%d %v",
+						n, trial, j, got[j], math.Float64bits(got[j]), want, math.Float64bits(want), a, j, b[j])
+				}
+			}
+		}
+	}
+}
+
+// TestSqDist4LengthMismatchPanics: a row of the wrong length in any of
+// the four places panics with SqDist's message, below and above
+// sqDistUnrollMin.
+func TestSqDist4LengthMismatchPanics(t *testing.T) {
+	for _, n := range []int{3, sqDistUnrollMin, 20} {
+		for j := 0; j < 4; j++ {
+			rows := [4][]float64{make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)}
+			rows[j] = make([]float64, n+1)
+			func() {
+				defer func() {
+					if msg := recover(); msg != "linalg: SqDist length mismatch" {
+						t.Errorf("n=%d, row %d one longer: recovered %v", n, j, msg)
+					}
+				}()
+				SqDist4(make([]float64, n), rows[0], rows[1], rows[2], rows[3])
+			}()
+		}
+	}
+}
+
 func TestAddRowVec(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}})
 	AddRowVec(m, []float64{10, 20})

@@ -22,9 +22,10 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== allocation budgets of the message path and of a knn-shuffle MapReduce op (0.5 MB, its batch arrays recycled), the net mesh's dialer-first bring-up, and one op of each knn-shuffle Go benchmark (without -race, which changes allocation counts and slows socket set-up)"
+echo "== allocation budgets of the message path and of a knn-shuffle MapReduce op (0.5 MB, its batch arrays recycled), the net mesh's dialer-first bring-up, and one op of each knn-shuffle Go benchmark and distance-kernel row (without -race, which changes allocation counts and slows socket set-up)"
 go test -count=1 -run 'Allocs|DialerFirst' ./internal/cluster ./internal/mapreduce ./internal/knn
 go test -count=1 -run '^$' -bench MapReduceShuffle -benchtime 1x ./internal/knn
+go test -count=1 -run '^$' -bench SqDistKernels -benchtime 1x ./internal/linalg
 
 echo "== bench harness tests (bench/ is its own module, so ./... skips it)"
 (cd bench && go test ./...)
