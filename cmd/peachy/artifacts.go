@@ -54,39 +54,26 @@ func splitRankPath(path string) (base string, rank int, ok bool) {
 }
 
 // rankSeries validates that paths form exactly one complete per-rank set
-// base.rank0 .. base.rank(P-1) and returns them in rank order — numeric
-// order, so rank 10 sorts after rank 2 where a lexical sort would not.
+// base.rank0 .. base.rank(P-1), each file once, and returns them in rank
+// order.
 func rankSeries(paths []string) (base string, ordered []string, err error) {
-	byRank := map[int]string{}
 	for _, p := range paths {
-		b, r, ok := splitRankPath(p)
-		if !ok {
+		if _, _, ok := splitRankPath(p); !ok {
 			return "", nil, fmt.Errorf("%s: not a per-rank artifact (want <base>.rank<r>, as written under peachy launch)", p)
 		}
-		if base == "" {
-			base = b
-		} else if b != base {
-			return "", nil, fmt.Errorf("mixed artifact sets: %s vs %s — merge one run's files at a time", base, b)
-		}
-		if prev, dup := byRank[r]; dup {
-			return "", nil, fmt.Errorf("rank %d appears twice: %s and %s", r, prev, p)
-		}
-		byRank[r] = p
 	}
-	for r := 0; r < len(byRank); r++ {
-		p, ok := byRank[r]
-		if !ok {
-			return "", nil, fmt.Errorf("incomplete set for %s: %d files but no rank %d", base, len(byRank), r)
-		}
-		ordered = append(ordered, p)
+	bases, groups := rankGroups(paths)
+	if len(bases) != 1 || len(groups[bases[0]]) != len(paths) {
+		return "", nil, fmt.Errorf("%d files are not one complete set <base>.rank0 .. <base>.rank<P-1>, each once — merge one run's files at a time", len(paths))
 	}
-	return base, ordered, nil
+	return bases[0], groups[bases[0]], nil
 }
 
-// rankGroups partitions paths into complete per-rank sets (two ranks or
-// more), in rank order, keyed and sorted by base path. Paths without the
-// suffix, and incomplete or single-file sets, are left out: the caller
-// lints those per file only.
+// rankGroups partitions paths into complete per-rank sets, in rank order
+// — numeric order, so rank 10 sorts after rank 2 where a lexical sort
+// would not — keyed and sorted by base path. Paths without the suffix,
+// and incomplete sets, are left out: the caller lints those per file
+// only.
 func rankGroups(paths []string) (bases []string, groups map[string][]string) {
 	byBase := map[string]map[int]string{}
 	for _, p := range paths {
@@ -101,9 +88,6 @@ func rankGroups(paths []string) (bases []string, groups map[string][]string) {
 	}
 	groups = map[string][]string{}
 	for b, byRank := range byBase {
-		if len(byRank) < 2 {
-			continue
-		}
 		ordered := make([]string, 0, len(byRank))
 		for r := 0; r < len(byRank); r++ {
 			p, ok := byRank[r]

@@ -14,16 +14,20 @@
 //
 // spawns 4 copies of the binary, each holding one rank on the net
 // device, wired over loopback sockets via the PEACHY_* env contract
-// that cluster.OpenWorld reads. The observability artifacts such a run
-// writes per rank are stitched back together with
+// that cluster.OpenWorld reads. Every rank gets the same arguments: the
+// program's own -trace, -metrics and -obs-listen flags make per-rank
+// files and endpoints. The observability artifacts such a run writes
+// per rank are stitched back together with
 //
 //	peachy obs-merge out/trace.json.rank*
 //
-// and validated (per file, plus cross-file conservation for complete
-// rank sets) with `peachy obs-lint`.
+// which refuses a set that fails the cross-file checks, and validated
+// (per file, plus cross-file conservation for complete rank sets) with
+// `peachy obs-lint`.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -56,7 +60,6 @@ func main() {
 		np := fs.Int("np", 4, "number of ranks (one process per rank)")
 		netw := fs.String("net", "unix", "transport: unix (socket files) | tcp (loopback ports)")
 		raw := fs.Bool("raw-output", false, "do not prefix non-root ranks' output lines with [rank r]")
-		obsListen := fs.String("obs-listen", "", "serve each rank's live /metrics, /healthz and pprof: rank r listens on this address with the port offset by r")
 		_ = fs.Parse(os.Args[2:])
 		if fs.NArg() == 0 {
 			fmt.Fprintln(os.Stderr, "peachy launch: no program given (usage: peachy launch -np 4 [-net unix|tcp] prog args...)")
@@ -64,7 +67,6 @@ func main() {
 		}
 		if err := launch.Run(launch.Config{
 			NP: *np, Network: *netw, Argv: fs.Args(), Prefix: !*raw,
-			ObsListen: *obsListen,
 		}); err != nil {
 			fatal(err)
 		}
@@ -92,11 +94,14 @@ func main() {
 			blobs[path] = data
 			fmt.Printf("%s: ok\n", path)
 		}
-		// Cross-file pass: any complete per-rank set among the inputs gets
-		// the merged-run lint — world-size agreement, rank ownership, and
-		// send/recv conservation across the documents.
+		// Cross-file pass: any complete per-rank set of two ranks or more
+		// among the inputs gets the merged-run lint — world-size agreement,
+		// rank ownership, and send/recv conservation across the documents.
 		bases, groups := rankGroups(paths)
 		for _, base := range bases {
+			if len(groups[base]) < 2 {
+				continue
+			}
 			docs := make([][]byte, 0, len(groups[base]))
 			for _, p := range groups[base] {
 				if blobs[p] == nil {
@@ -121,7 +126,6 @@ func main() {
 	case "obs-merge":
 		fs := flag.NewFlagSet("obs-merge", flag.ExitOnError)
 		outPath := fs.String("o", "", "output path (default: the input base path, .rank* stripped)")
-		noLint := fs.Bool("no-lint", false, "skip the LintMerged cross-checks before writing")
 		_ = fs.Parse(os.Args[2:])
 		paths, err := expandArtifacts(fs.Args())
 		if err != nil {
@@ -141,24 +145,17 @@ func main() {
 				fatal(fmt.Errorf("obs-merge: %w", err))
 			}
 		}
-		if !*noLint {
-			if err := obs.LintMerged(docs); err != nil {
-				fatal(fmt.Errorf("obs-merge: %v", err))
-			}
+		// Merge into memory first: a set that fails the cross-file checks
+		// leaves no output file behind.
+		var merged bytes.Buffer
+		if err := obs.Merge(&merged, docs); err != nil {
+			fatal(fmt.Errorf("obs-merge: %v", err))
 		}
 		dst := *outPath
 		if dst == "" {
 			dst = base
 		}
-		f, err := os.Create(dst)
-		if err != nil {
-			fatal(fmt.Errorf("obs-merge: %w", err))
-		}
-		if err := obs.Merge(f, docs); err != nil {
-			f.Close()
-			fatal(fmt.Errorf("obs-merge: %w", err))
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(dst, merged.Bytes(), 0o644); err != nil {
 			fatal(fmt.Errorf("obs-merge: %w", err))
 		}
 		fmt.Printf("merged %d ranks into %s\n", len(docs), dst)
@@ -205,8 +202,9 @@ func usage() {
   peachy verify
   peachy vet [-rules r1,r2] [-q] [-json|-sarif] [./... | dir ...]
   peachy obs-lint trace-or-metrics.json ...       (globs ok; complete .rank* sets get cross-file checks)
-  peachy obs-merge [-o out.json] [-no-lint] trace.json.rank*
-  peachy launch -np 4 [-net unix|tcp] [-raw-output] [-obs-listen host:port] prog args...`)
+  peachy obs-merge [-o out.json] trace.json.rank*          (refuses a set obs-lint reports)
+  peachy launch -np 4 [-net unix|tcp] [-raw-output] prog args...
+                                                  (rank r offsets prog's -obs-listen port by r)`)
 }
 
 func fatal(err error) {

@@ -31,10 +31,10 @@ func checkCapture(u *Unit, r *reporter) {
 				switch callName(x) {
 				case "Run":
 					// World.Run(func(c *cluster.Comm)): require the
-					// rank-body shape so unrelated Run methods (testing.T,
+					// rank-body type so unrelated Run methods (testing.T,
 					// exhibits) are not caught.
 					for _, a := range x.Args {
-						if lit, ok := a.(*ast.FuncLit); ok && isRankBody(lit) {
+						if lit, ok := a.(*ast.FuncLit); ok && u.isRankBody(lit) {
 							analyzeClosure(u, r, lit, "World.Run rank body", false)
 						}
 					}
@@ -55,8 +55,8 @@ func checkCapture(u *Unit, r *reporter) {
 					// par.Do runs each section once, concurrently with its
 					// siblings: a write races only when two sections touch
 					// the same captured target. sync.Once.Do and friends
-					// must not match, hence the package qualification.
-					if isParDo(x) {
+					// must not match, hence the typed check.
+					if u.isParDo(x) {
 						analyzeDoSections(u, r, x)
 					}
 				}
@@ -69,37 +69,31 @@ func checkCapture(u *Unit, r *reporter) {
 	}
 }
 
-// isParDo reports whether the call is par.Do (or bare Do inside package
-// par itself), as opposed to sync.Once.Do or any other Do method.
-func isParDo(call *ast.CallExpr) bool {
-	switch fun := call.Fun.(type) {
+// parDoType is par.Do's type, func(...func()).
+var parDoType = types.NewSignatureType(nil, nil, nil,
+	types.NewTuple(types.NewParam(token.NoPos, nil, "", types.NewSlice(types.NewSignatureType(nil, nil, nil, nil, nil, false)))),
+	nil, true)
+
+// isParDo reports whether the call is par.Do: a call of a package-level
+// function of type func(...func()), as opposed to sync.Once.Do, a Do
+// method, or a function of another shape.
+func (u *Unit) isParDo(call *ast.CallExpr) bool {
+	var id *ast.Ident
+	switch fun := unwrapCallFun(call).(type) {
 	case *ast.Ident:
-		return fun.Name == "Do"
+		id = fun
 	case *ast.SelectorExpr:
-		if id, ok := fun.X.(*ast.Ident); ok {
-			return id.Name == "par" && fun.Sel.Name == "Do"
-		}
+		id = fun.Sel
 	}
-	return false
+	fn, ok := u.info.Uses[id].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Parent() == fn.Pkg().Scope() && types.Identical(fn.Type(), parDoType)
 }
 
-// isRankBody reports whether lit looks like func(c *cluster.Comm).
-func isRankBody(lit *ast.FuncLit) bool {
-	params := lit.Type.Params
-	if params == nil || len(params.List) != 1 {
-		return false
-	}
-	t := params.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	switch x := t.(type) {
-	case *ast.Ident:
-		return x.Name == "Comm"
-	case *ast.SelectorExpr:
-		return x.Sel.Name == "Comm"
-	}
-	return false
+// isRankBody reports whether lit is a rank body: a literal of one
+// parameter whose type isCommType accepts, such as func(c *cluster.Comm).
+func (u *Unit) isRankBody(lit *ast.FuncLit) bool {
+	sig, ok := u.info.TypeOf(lit).(*types.Signature)
+	return ok && sig.Params().Len() == 1 && isCommType(sig.Params().At(0).Type())
 }
 
 // analyzeClosure reports unguarded writes to captured state inside lit.

@@ -277,7 +277,7 @@ func checkUniformRecvFirst(u *Unit, r *reporter, s *summarizer) {
 				continue
 			}
 			for _, a := range call.Args {
-				if lit, ok := a.(*ast.FuncLit); ok && isRankBody(lit) {
+				if lit, ok := a.(*ast.FuncLit); ok && u.isRankBody(lit) {
 					sum := s.litSummary(lit)
 					var all flight
 					collectSends(sum.Effects, &all)

@@ -81,3 +81,10 @@ func badDoPackageVar() {
 		func() { hits = 2 }, // WANT capture
 	)
 }
+
+// A rank body typed through an alias of Comm is still a rank body.
+func badAliasedRankBody(w *World) {
+	w.Run(func(c *C) {
+		hits++ // WANT capture
+	})
+}

@@ -80,3 +80,13 @@ func goodDoLocals() {
 		},
 	)
 }
+
+// A local value named par whose Do runs its sections in turn is not
+// par.Do: its sections may share a target.
+func goodSequentialDo() {
+	par := runner{}
+	par.Do(
+		func() { hits = 1 },
+		func() { hits = 2 },
+	)
+}

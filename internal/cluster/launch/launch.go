@@ -3,7 +3,10 @@
 // together over loopback sockets — the `mpirun` of this repository.
 // MatlabMPI's launcher did the same job over a shared filesystem; here
 // the rank/address map travels in the PEACHY_* environment contract that
-// cluster.OpenWorld reads back.
+// cluster.OpenWorld reads back. Every rank runs the same arguments, so
+// per-rank settings derive from PEACHY_RANK in the program: an exhibit's
+// -trace and -metrics files gain a .rank<r> suffix, and its -obs-listen
+// port is offset by r.
 package launch
 
 import (
@@ -17,8 +20,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Config describes one launch.
@@ -35,11 +36,6 @@ type Config struct {
 	// through untagged so an exhibit's result output stays comparable to
 	// its in-process run.
 	Prefix bool
-	// ObsListen, when set, gives every rank a live observability endpoint
-	// (obs: /metrics, /healthz, pprof): rank r serves on this base address
-	// with any non-zero port offset by r, handed down via PEACHY_OBS_LISTEN
-	// so the exhibit's own flags need not be touched.
-	ObsListen string
 	// Stdout/Stderr receive the children's (possibly prefixed) output.
 	// Defaults: os.Stdout / os.Stderr.
 	Stdout, Stderr io.Writer
@@ -86,9 +82,6 @@ func Run(cfg Config) error {
 			"PEACHY_NET="+network,
 			"PEACHY_ADDRS="+strings.Join(addrs, ","),
 		)
-		if cfg.ObsListen != "" {
-			cmd.Env = append(cmd.Env, "PEACHY_OBS_LISTEN="+obs.OffsetAddr(cfg.ObsListen, r))
-		}
 		prefix := ""
 		if cfg.Prefix && r > 0 {
 			prefix = fmt.Sprintf("[rank %d] ", r)

@@ -4,6 +4,8 @@ import (
 	"encoding/gob"
 	"io"
 	"testing"
+
+	"repro/internal/keyhash"
 )
 
 // wireTestKey is a key type no other test registers.
@@ -29,7 +31,7 @@ func TestRegisterWireTypesAllocs(t *testing.T) {
 	}
 }
 
-// TestHashKeyAllocs: routing a scalar key allocates nothing, so hashKey
+// TestHashKeyAllocs: routing a scalar key allocates nothing, so keyhash.Of
 // must not box the key, which would allocate for every string key and
 // every int above 255.
 func TestHashKeyAllocs(t *testing.T) {
@@ -41,12 +43,12 @@ func TestHashKeyAllocs(t *testing.T) {
 		name string
 		hash func()
 	}{
-		{"int", func() { sink += hashKey(1000) }},
-		{"string", func() { sink += hashKey(word) }},
-		{"float64", func() { sink += hashKey(2.5) }},
+		{"int", func() { sink += keyhash.Of(1000) }},
+		{"string", func() { sink += keyhash.Of(word) }},
+		{"float64", func() { sink += keyhash.Of(2.5) }},
 	} {
 		if n := testing.AllocsPerRun(100, tc.hash); n != 0 {
-			t.Errorf("hashKey of a %s key allocates %v times, want 0", tc.name, n)
+			t.Errorf("keyhash.Of of a %s key allocates %v times, want 0", tc.name, n)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/keyhash"
 )
 
 func TestWordCountSmall(t *testing.T) {
@@ -218,17 +219,17 @@ func TestTokenize(t *testing.T) {
 }
 
 func TestHashKeyStability(t *testing.T) {
-	if hashKey("alpha") != hashKey("alpha") {
+	if keyhash.Of("alpha") != keyhash.Of("alpha") {
 		t.Error("string hash unstable")
 	}
-	if hashKey(42) != hashKey(42) {
+	if keyhash.Of(42) != keyhash.Of(42) {
 		t.Error("int hash unstable")
 	}
-	if hashKey("a") == hashKey("b") {
+	if keyhash.Of("a") == keyhash.Of("b") {
 		t.Error("suspicious collision")
 	}
 	type custom struct{ A, B int }
-	if hashKey(custom{1, 2}) != hashKey(custom{1, 2}) {
+	if keyhash.Of(custom{1, 2}) != keyhash.Of(custom{1, 2}) {
 		t.Error("struct hash unstable")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/keyhash"
 	"repro/internal/prng"
 )
 
@@ -373,7 +374,7 @@ func newBoundaryCase[K comparable](name string, shards func(p int) [][]int, keys
 // shares the one rank).
 func sameDest(p, a int) int {
 	b := a + 1
-	for hashKey(b)%uint64(p) != hashKey(a)%uint64(p) {
+	for keyhash.Of(b)%uint64(p) != keyhash.Of(a)%uint64(p) {
 		b++
 	}
 	return b
@@ -381,7 +382,7 @@ func sameDest(p, a int) int {
 
 func otherDest(p, a int) int {
 	b := a + 1
-	for p > 1 && hashKey(b)%uint64(p) == hashKey(a)%uint64(p) {
+	for p > 1 && keyhash.Of(b)%uint64(p) == keyhash.Of(a)%uint64(p) {
 		b++
 	}
 	return b

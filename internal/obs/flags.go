@@ -20,9 +20,7 @@ type CLI struct {
 	// Listen is the -obs-listen address for the live HTTP endpoint
 	// (/metrics, /healthz, /debug/pprof). In a launched world each rank
 	// is its own process: a non-zero port is offset by the rank so the
-	// world's endpoints do not collide, and the PEACHY_OBS_LISTEN
-	// environment (set per rank by `peachy launch -obs-listen`) overrides
-	// the flag entirely.
+	// world's endpoints do not collide.
 	Listen string
 }
 
@@ -41,18 +39,10 @@ func (o *CLI) Enabled() bool {
 	return o.TracePath != "" || o.MetricsPath != "" || o.Summary || o.listenAddr() != ""
 }
 
-// envObsListen is the per-rank live-endpoint address `peachy launch
-// -obs-listen` hands each spawned process; like PEACHY_RANK it is read
-// directly to keep obs dependency-free.
-const envObsListen = "PEACHY_OBS_LISTEN"
-
 // listenAddr resolves where this process should serve its live endpoint:
-// the launcher's per-rank address if set, else the -obs-listen flag with
-// a non-zero port offset by this rank ("" when listening is off).
+// the -obs-listen flag with a non-zero port offset by this process's
+// launch rank ("" when listening is off).
 func (o *CLI) listenAddr() string {
-	if addr := os.Getenv(envObsListen); addr != "" {
-		return addr
-	}
 	if o.Listen == "" {
 		return ""
 	}
@@ -78,10 +68,9 @@ func OffsetAddr(addr string, rank int) string {
 	return net.JoinHostPort(host, strconv.Itoa(port+rank))
 }
 
-// Serve starts the live endpoint for t when one was requested
-// (-obs-listen or the launcher's PEACHY_OBS_LISTEN). Returns nil (no
-// error) when listening is off or there is no trace; the
-// returned *Server is nil-safe to Close, so callers simply
+// Serve starts the live endpoint for t when -obs-listen requested one.
+// Returns nil (no error) when listening is off or there is no trace;
+// the returned *Server is nil-safe to Close, so callers simply
 // `defer o.Serve(...).Close()`-style without guards. The bound address
 // is echoed to stderr — useful with port 0.
 func (o *CLI) Serve(t *Trace, info ServerInfo) (*Server, error) {

@@ -1,11 +1,10 @@
 package obs
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
 // Merging launched runs. Under `peachy launch` every rank is its own
@@ -23,267 +22,128 @@ import (
 // program, and byte-identical across repeated launched runs (wall time
 // never enters the trace). For metrics, every per-rank field of the
 // merged document is taken from the rank that owns it and the run-level
-// aggregates are recomputed by the same fold Trace.Metrics uses, so
-// histograms merge exactly (fixed bucket boundaries) and quantiles come
-// out identical to the in-process run's.
+// fields are recomputed by Metrics.total, the fold Trace.Metrics uses,
+// so histograms merge exactly (fixed bucket boundaries) and quantiles
+// come out identical to the in-process run's.
 //
-// Conservation is cross-checked while merging: what rank s's traffic
+// Every merge and LintMerged read the documents through readRankSet,
+// which runs the single-document linter (lint.go) on each and checks
+// the set as one run, conservation included: what rank s's traffic
 // matrix row says it sent to rank d must equal what rank d's counters
-// say arrived. LintMerged extends the single-document linter (lint.go)
-// to these multi-document invariants; `peachy obs-merge` runs it before
-// writing anything.
+// say arrived. A merge therefore refuses exactly the sets LintMerged
+// reports.
 
-// chromeDoc is one parsed per-rank trace artifact.
-type chromeDoc struct {
-	TraceEvents []chromeEvent `json:"traceEvents"`
+// rankSet is one launched run's per-rank documents, parsed and checked:
+// traces[r] holds rank r's trace events, or metrics[r] its metrics
+// document, by the set's kind.
+type rankSet struct {
+	kind    string
+	traces  [][]traceEvent
+	metrics []*Metrics
 }
 
-func parseTraceDoc(data []byte) (*chromeDoc, error) {
-	var doc chromeDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	return &doc, nil
-}
-
-// worldRanks counts the rank tracks a per-rank artifact declares (one
-// thread_name metadata event per rank of the world).
-func (d *chromeDoc) worldRanks() int {
-	n := 0
-	for _, ev := range d.TraceEvents {
-		if ev.Ph == "M" && ev.Name == "thread_name" {
-			n++
-		}
-	}
-	return n
-}
-
-// ownedTracks returns the set of tids carrying actual events.
-func (d *chromeDoc) ownedTracks() map[int]bool {
-	owned := map[int]bool{}
-	for _, ev := range d.TraceEvents {
-		if ev.Ph != "M" {
-			owned[ev.Tid] = true
-		}
-	}
-	return owned
-}
-
-// MergeTraces folds N per-rank Chrome trace artifacts from one launched
-// run (docs[r] is rank r's file, in rank order) into a single trace on
-// w: one track per rank on the shared simulated clock. The output is
-// byte-identical to what an in-process run of the same program writes,
-// and byte-identical across repeated launched runs.
-func MergeTraces(w io.Writer, docs [][]byte) error {
-	if len(docs) == 0 {
-		return errors.New("obs: merge: no trace documents")
-	}
+// readRankSet parses each of docs (docs[r] is rank r's file) once and
+// checks them as one launched run: every document passes its
+// single-file lint, all are of one kind, each declares a world of
+// len(docs) ranks and carries data for its own rank only, and — the
+// cross-document conservation invariant — what rank s recorded as sent
+// to rank d equals what rank d recorded as received. All findings are
+// reported, joined, one "merged: " line each; a document of the other
+// kind ends the read at once.
+func readRankSet(docs [][]byte) (*rankSet, error) {
 	ranks := len(docs)
-	parsed := make([]*chromeDoc, ranks)
-	for r, data := range docs {
-		doc, err := parseTraceDoc(data)
-		if err != nil {
-			return fmt.Errorf("obs: merge: doc %d: %w", r, err)
-		}
-		if got := doc.worldRanks(); got != ranks {
-			return fmt.Errorf("obs: merge: doc %d declares a %d-rank world but %d documents were given — pass every rank's artifact of one launched run, in rank order", r, got, ranks)
-		}
-		for tid := range doc.ownedTracks() {
-			if tid != r {
-				return fmt.Errorf("obs: merge: doc %d carries events on rank %d's track — per-rank artifacts own exactly their rank (is this an in-process trace, or are the files out of rank order?)", r, tid)
-			}
-		}
-		parsed[r] = doc
+	if ranks == 0 {
+		return nil, errors.New("merged: no documents")
 	}
-	enc := newChromeEnc(w)
-	enc.meta(ranks)
-	for _, doc := range parsed {
-		for _, ev := range doc.TraceEvents {
-			if ev.Ph == "M" {
+	set := &rankSet{traces: make([][]traceEvent, ranks), metrics: make([]*Metrics, ranks)}
+	var findings []error
+	finding := func(r int, format string, args ...any) {
+		findings = append(findings, fmt.Errorf("merged: doc %d: "+format, append([]any{r}, args...)...))
+	}
+	for r, data := range docs {
+		kind, err := sniffDoc(data)
+		if err != nil {
+			finding(r, "%w", err)
+			continue
+		}
+		if set.kind == "" {
+			set.kind = kind
+		} else if kind != set.kind {
+			return nil, fmt.Errorf("merged: doc %d is a %s document among %s documents — merge traces and metrics separately", r, kind, set.kind)
+		}
+		world, foreign := 0, []int(nil)
+		if kind == "trace" {
+			evs, err := parseTrace(data)
+			if err != nil {
+				finding(r, "%w", err)
 				continue
 			}
-			enc.emit(ev)
-		}
-	}
-	return enc.close()
-}
-
-// MergeMetrics folds N per-rank metrics artifacts from one launched run
-// (docs[r] is rank r's file, in rank order) into the single metrics
-// document the in-process run would produce: per-rank rows and traffic
-// rows taken from the rank that owns them, totals and the run-level op
-// aggregates (histograms, quantiles) recomputed by the same fold
-// Trace.Metrics uses.
-func MergeMetrics(docs [][]byte) (*Metrics, error) {
-	if len(docs) == 0 {
-		return nil, errors.New("obs: merge: no metrics documents")
-	}
-	ranks := len(docs)
-	parsed := make([]*Metrics, ranks)
-	for r, data := range docs {
-		var m Metrics
-		if err := json.Unmarshal(data, &m); err != nil {
-			return nil, fmt.Errorf("obs: merge: doc %d: metrics: %w", r, err)
-		}
-		if m.Ranks != ranks {
-			return nil, fmt.Errorf("obs: merge: doc %d declares a %d-rank world but %d documents were given", r, m.Ranks, ranks)
-		}
-		if len(m.PerRank) != ranks || len(m.TrafficBytes) != ranks || len(m.TrafficMsgs) != ranks {
-			return nil, fmt.Errorf("obs: merge: doc %d is not a well-formed %d-rank metrics document (run obs-lint on it)", r, ranks)
-		}
-		parsed[r] = &m
-	}
-	out := &Metrics{Ranks: ranks}
-	out.TrafficBytes = make([][]int64, ranks)
-	out.TrafficMsgs = make([][]int64, ranks)
-	busySum, busyMax := 0.0, 0.0
-	agg := map[string]*opAgg{}
-	var aggOps []string
-	for r, m := range parsed {
-		rm := m.PerRank[r]
-		out.PerRank = append(out.PerRank, rm)
-		out.TrafficBytes[r] = append([]int64(nil), m.TrafficBytes[r]...)
-		out.TrafficMsgs[r] = append([]int64(nil), m.TrafficMsgs[r]...)
-		out.Events += m.Events
-		out.TotalMsgs += rm.MsgsSent
-		out.TotalBytes += rm.BytesSent
-		if rm.SimTotal > out.SimMakespan {
-			out.SimMakespan = rm.SimTotal
-		}
-		busySum += rm.SimBusy
-		if rm.SimBusy > busyMax {
-			busyMax = rm.SimBusy
-		}
-		for _, om := range rm.Ops {
-			a := agg[om.Op]
-			if a == nil {
-				a = &opAgg{simH: &Hist{}, wallH: &Hist{}}
-				agg[om.Op] = a
-				aggOps = append(aggOps, om.Op)
+			set.traces[r] = evs
+			for _, ev := range evs {
+				if *ev.Ph == "M" {
+					if ev.Name == "thread_name" {
+						world++
+					}
+				} else if *ev.Tid != r && !slices.Contains(foreign, *ev.Tid) {
+					foreign = append(foreign, *ev.Tid)
+				}
 			}
-			a.fold(om)
-		}
-	}
-	if busySum > 0 {
-		out.BusyImbalance = busyMax / (busySum / float64(ranks))
-	}
-	sort.Strings(aggOps)
-	for _, op := range aggOps {
-		out.Ops = append(out.Ops, agg[op].metrics(op))
-	}
-	return out, nil
-}
-
-// Merge folds per-rank artifacts of either kind (docs[r] is rank r's
-// file) into the single document on w, sniffing trace vs metrics from
-// the first document's shape.
-func Merge(w io.Writer, docs [][]byte) error {
-	if len(docs) == 0 {
-		return errors.New("obs: merge: no documents")
-	}
-	kind, err := sniffDoc(docs[0])
-	if err != nil {
-		return fmt.Errorf("obs: merge: doc 0: %w", err)
-	}
-	if kind == "trace" {
-		return MergeTraces(w, docs)
-	}
-	m, err := MergeMetrics(docs)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m)
-}
-
-// LintMerged validates a set of per-rank artifacts (docs[r] is rank r's
-// file) as one coherent launched run: every document must pass its
-// single-file lint, declare the same world size (= the number of
-// documents), own exactly its rank's data, and — the cross-document
-// conservation invariant — what rank s recorded as sent to rank d must
-// equal what rank d recorded as received. All findings are reported,
-// joined, not just the first.
-func LintMerged(docs [][]byte) error {
-	if len(docs) == 0 {
-		return errors.New("merged: no documents")
-	}
-	if len(docs) == 1 {
-		return LintFile(docs[0])
-	}
-	kind := ""
-	for r, data := range docs {
-		k, err := sniffDoc(data)
-		if err != nil {
-			return fmt.Errorf("merged: doc %d: %w", r, err)
-		}
-		if kind == "" {
-			kind = k
-		} else if k != kind {
-			return fmt.Errorf("merged: doc %d is a %s document among %s documents — merge traces and metrics separately", r, k, kind)
-		}
-	}
-	if kind == "trace" {
-		return lintMergedTraces(docs)
-	}
-	return lintMergedMetrics(docs)
-}
-
-func sniffDoc(data []byte) (string, error) {
-	var top map[string]json.RawMessage
-	if err := json.Unmarshal(data, &top); err != nil {
-		return "", fmt.Errorf("not a JSON object: %w", err)
-	}
-	if _, ok := top["traceEvents"]; ok {
-		return "trace", nil
-	}
-	if _, ok := top["per_rank"]; ok {
-		return "metrics", nil
-	}
-	return "", errors.New("unrecognized document: neither \"traceEvents\" nor \"per_rank\" present")
-}
-
-// lintMergedTraces cross-checks N per-rank trace artifacts: consistent
-// world size, per-rank track ownership, and message conservation (send
-// events on rank s's track addressed to d must match recv events on
-// rank d's track from s, in both count and bytes).
-func lintMergedTraces(docs [][]byte) error {
-	var findings []error
-	ranks := len(docs)
-	parsed := make([]*chromeDoc, ranks)
-	for r, data := range docs {
-		if err := LintTrace(data); err != nil {
-			findings = append(findings, fmt.Errorf("merged: doc %d: %w", r, err))
-			continue
-		}
-		doc, err := parseTraceDoc(data)
-		if err != nil {
-			findings = append(findings, fmt.Errorf("merged: doc %d: %w", r, err))
-			continue
-		}
-		if got := doc.worldRanks(); got != ranks {
-			findings = append(findings, fmt.Errorf("merged: doc %d declares a %d-rank world, want %d (one document per rank)", r, got, ranks))
-			continue
-		}
-		for tid := range doc.ownedTracks() {
-			if tid != r {
-				findings = append(findings, fmt.Errorf("merged: doc %d carries events on rank %d's track — not a per-rank artifact, or out of rank order", r, tid))
+		} else {
+			m, err := parseMetrics(data)
+			if err != nil {
+				finding(r, "%w", err)
+				continue
 			}
+			set.metrics[r] = m
+			world, foreign = m.Ranks, m.foreignRanks(r)
 		}
-		parsed[r] = doc
+		if world != ranks {
+			finding(r, "declares a %d-rank world but %d documents were given — pass every rank's artifact of one launched run, in rank order", world, ranks)
+			continue
+		}
+		for _, q := range foreign {
+			finding(r, "carries data for rank %d — not a per-rank artifact, or out of rank order", q)
+		}
 	}
 	if len(findings) > 0 {
-		return errors.Join(findings...)
+		return nil, errors.Join(findings...)
 	}
-	// Conservation on the event level: sentMsgs[s][d] from send events
-	// must mirror recvMsgs[d][s] from recv events, and likewise bytes.
-	sentMsgs := mat(ranks)
-	sentBytes := mat(ranks)
-	recvMsgs := mat(ranks)
-	recvBytes := mat(ranks)
-	for r, doc := range parsed {
-		for _, ev := range doc.TraceEvents {
-			if ev.Ph != "X" || (ev.Name != "send" && ev.Name != "recv") {
+	if set.kind == "trace" {
+		findings = set.traceConservation()
+	} else {
+		findings = set.metricsConservation()
+	}
+	if len(findings) > 0 {
+		return nil, errors.Join(findings...)
+	}
+	return set, nil
+}
+
+// foreignRanks lists the ranks other than own that m holds counters or
+// traffic for.
+func (m *Metrics) foreignRanks(own int) []int {
+	var out []int
+	nonzero := func(v int64) bool { return v != 0 }
+	for q, rm := range m.PerRank {
+		if q != own && (rm.MsgsSent != 0 || rm.MsgsRecv != 0 || rm.BytesSent != 0 || rm.BytesRecv != 0 || rm.Collectives != 0 ||
+			slices.ContainsFunc(m.TrafficMsgs[q], nonzero) || slices.ContainsFunc(m.TrafficBytes[q], nonzero)) {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// traceConservation checks every edge: send events on rank s's track
+// addressed to d must match recv events on rank d's track from s, in
+// both count and bytes.
+func (s *rankSet) traceConservation() []error {
+	var findings []error
+	ranks := len(s.traces)
+	sentMsgs, sentBytes := mat(ranks), mat(ranks)
+	recvMsgs, recvBytes := mat(ranks), mat(ranks)
+	for r, evs := range s.traces {
+		for _, ev := range evs {
+			if *ev.Ph != "X" || (ev.Name != "send" && ev.Name != "recv") {
 				continue
 			}
 			peer, ok := argInt(ev.Args, "peer")
@@ -301,81 +161,128 @@ func lintMergedTraces(docs [][]byte) error {
 			}
 		}
 	}
-	for s := 0; s < ranks; s++ {
+	for src := 0; src < ranks; src++ {
 		for d := 0; d < ranks; d++ {
-			if sentMsgs[s][d] != recvMsgs[d][s] || sentBytes[s][d] != recvBytes[d][s] {
+			if sentMsgs[src][d] != recvMsgs[d][src] || sentBytes[src][d] != recvBytes[d][src] {
 				findings = append(findings, fmt.Errorf(
 					"merged: conservation violated on edge %d->%d: rank %d traced %d msgs / %d bytes sent but rank %d traced %d msgs / %d bytes received",
-					s, d, s, sentMsgs[s][d], sentBytes[s][d], d, recvMsgs[d][s], recvBytes[d][s]))
+					src, d, src, sentMsgs[src][d], sentBytes[src][d], d, recvMsgs[d][src], recvBytes[d][src]))
 			}
 		}
 	}
-	return errors.Join(findings...)
+	return findings
 }
 
-// lintMergedMetrics cross-checks N per-rank metrics artifacts:
-// consistent world size, ownership (doc r's counters and traffic rows
-// for any rank but r must be empty), and conservation (the traffic
-// matrix columns assembled across documents must equal each rank's
-// received totals).
-func lintMergedMetrics(docs [][]byte) error {
+// metricsConservation checks every receiving rank: column d of the
+// assembled traffic matrix (everything every rank said it sent to d)
+// must equal rank d's received totals. A metrics document keeps no
+// per-source receive counts, so this is the finest check it allows.
+func (s *rankSet) metricsConservation() []error {
 	var findings []error
-	ranks := len(docs)
-	parsed := make([]*Metrics, ranks)
-	for r, data := range docs {
-		if err := LintMetrics(data); err != nil {
-			findings = append(findings, fmt.Errorf("merged: doc %d: %w", r, err))
-			continue
-		}
-		var m Metrics
-		if err := json.Unmarshal(data, &m); err != nil {
-			findings = append(findings, fmt.Errorf("merged: doc %d: %w", r, err))
-			continue
-		}
-		if m.Ranks != ranks {
-			findings = append(findings, fmt.Errorf("merged: doc %d declares a %d-rank world, want %d (one document per rank)", r, m.Ranks, ranks))
-			continue
-		}
-		for q, rm := range m.PerRank {
-			if q == r {
-				continue
-			}
-			if rm.MsgsSent != 0 || rm.MsgsRecv != 0 || rm.BytesSent != 0 || rm.BytesRecv != 0 || rm.Collectives != 0 {
-				findings = append(findings, fmt.Errorf("merged: doc %d carries counters for rank %d — not a per-rank artifact, or out of rank order", r, q))
-			}
-		}
-		for q := range m.TrafficMsgs {
-			if q == r {
-				continue
-			}
-			for d := 0; d < ranks; d++ {
-				if m.TrafficMsgs[q][d] != 0 || m.TrafficBytes[q][d] != 0 {
-					findings = append(findings, fmt.Errorf("merged: doc %d carries traffic row %d — not a per-rank artifact, or out of rank order", r, q))
-					break
-				}
-			}
-		}
-		parsed[r] = &m
-	}
-	if len(findings) > 0 {
-		return errors.Join(findings...)
-	}
-	// Conservation: column d of the assembled traffic matrix (everything
-	// every rank said it sent to d) must equal rank d's received totals.
-	for d := 0; d < ranks; d++ {
+	for d := range s.metrics {
 		var colMsgs, colBytes int64
-		for s := 0; s < ranks; s++ {
-			colMsgs += parsed[s].TrafficMsgs[s][d]
-			colBytes += parsed[s].TrafficBytes[s][d]
+		for src, m := range s.metrics {
+			colMsgs += m.TrafficMsgs[src][d]
+			colBytes += m.TrafficBytes[src][d]
 		}
-		got := parsed[d].PerRank[d]
+		got := s.metrics[d].PerRank[d]
 		if colMsgs != got.MsgsRecv || colBytes != got.BytesRecv {
 			findings = append(findings, fmt.Errorf(
 				"merged: conservation violated at rank %d: the world sent it %d msgs / %d bytes but it recorded %d msgs / %d bytes received",
 				d, colMsgs, colBytes, got.MsgsRecv, got.BytesRecv))
 		}
 	}
-	return errors.Join(findings...)
+	return findings
+}
+
+// readRankSetOf reads docs as a set of the given kind.
+func readRankSetOf(docs [][]byte, kind string) (*rankSet, error) {
+	set, err := readRankSet(docs)
+	if err == nil && set.kind != kind {
+		err = fmt.Errorf("merged: %s documents, not %s documents", set.kind, kind)
+	}
+	return set, err
+}
+
+// MergeTraces folds N per-rank Chrome trace artifacts from one launched
+// run (docs[r] is rank r's file, in rank order) into a single trace on
+// w: one track per rank on the shared simulated clock. The output is
+// byte-identical to what an in-process run of the same program writes,
+// and byte-identical across repeated launched runs. A set LintMerged
+// reports is refused with the same findings.
+func MergeTraces(w io.Writer, docs [][]byte) error {
+	set, err := readRankSetOf(docs, "trace")
+	if err != nil {
+		return err
+	}
+	return set.writeTrace(w)
+}
+
+// writeTrace writes the world's track metadata, then each rank's events
+// in file order, through WriteChrome's encoder.
+func (s *rankSet) writeTrace(w io.Writer) error {
+	enc := newChromeEnc(w)
+	enc.meta(len(s.traces))
+	for _, evs := range s.traces {
+		for _, ev := range evs {
+			if *ev.Ph != "M" {
+				enc.emit(chromeEvent{Name: ev.Name, Ph: *ev.Ph, Pid: ev.Pid, Tid: *ev.Tid, Ts: *ev.Ts, Dur: ev.Dur, S: ev.S, Args: ev.Args})
+			}
+		}
+	}
+	return enc.close()
+}
+
+// MergeMetrics folds N per-rank metrics artifacts from one launched run
+// (docs[r] is rank r's file, in rank order) into the single metrics
+// document the in-process run would produce: per-rank rows and traffic
+// rows taken from the rank that owns them, the run-level fields
+// recomputed by the fold Trace.Metrics uses. A set LintMerged reports is
+// refused with the same findings.
+func MergeMetrics(docs [][]byte) (*Metrics, error) {
+	set, err := readRankSetOf(docs, "metrics")
+	if err != nil {
+		return nil, err
+	}
+	return set.mergedMetrics(), nil
+}
+
+func (s *rankSet) mergedMetrics() *Metrics {
+	ranks := len(s.metrics)
+	out := &Metrics{Ranks: ranks, TrafficBytes: make([][]int64, ranks), TrafficMsgs: make([][]int64, ranks)}
+	for r, m := range s.metrics {
+		out.Events += m.Events
+		out.PerRank = append(out.PerRank, m.PerRank[r])
+		out.TrafficBytes[r] = m.TrafficBytes[r]
+		out.TrafficMsgs[r] = m.TrafficMsgs[r]
+	}
+	out.total()
+	return out
+}
+
+// Merge folds per-rank artifacts of either kind (docs[r] is rank r's
+// file) into the single document on w, the kind sniffed from the
+// documents' shape.
+func Merge(w io.Writer, docs [][]byte) error {
+	set, err := readRankSet(docs)
+	if err != nil {
+		return err
+	}
+	if set.kind == "trace" {
+		return set.writeTrace(w)
+	}
+	return writeJSON(w, set.mergedMetrics())
+}
+
+// LintMerged validates a set of per-rank artifacts (docs[r] is rank r's
+// file) as one coherent launched run, by the checks readRankSet runs
+// for every merge. One document degrades to its single-file lint.
+func LintMerged(docs [][]byte) error {
+	if len(docs) == 1 {
+		return LintFile(docs[0])
+	}
+	_, err := readRankSet(docs)
+	return err
 }
 
 func mat(n int) [][]int64 {

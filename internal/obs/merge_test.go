@@ -1,7 +1,8 @@
 // Tests for the cross-rank artifact merge: merging per-rank documents
 // must reproduce the in-process exporters byte-for-byte (traces) and
-// field-for-field up to wall clocks (metrics), and LintMerged must catch
-// out-of-order, foreign-rank, and conservation violations.
+// field-for-field up to wall clocks (metrics), LintMerged must catch
+// out-of-order, foreign-rank, and conservation violations, and every
+// merge must refuse what LintMerged reports.
 package obs
 
 import (
@@ -191,23 +192,27 @@ func TestLintMergedOutOfOrder(t *testing.T) {
 	}
 }
 
+// lossyTraces records a two-rank launched run in which rank 0 claims a
+// send that rank 1 never received.
+func lossyTraces() []*Trace {
+	p := 2
+	out := make([]*Trace, p)
+	for r := 0; r < p; r++ {
+		out[r] = NewTrace(p)
+		rec := out[r].Rank(r)
+		rec.Collective("Barrier", -1, 0, 0.1, rec.Now())
+		if r == 0 {
+			rec.Send(1, 5, 32, 0.1, 0.2)
+		}
+	}
+	return out
+}
+
 // TestLintMergedConservation: rank 0 claims a send that rank 1 never
 // received — the cross-file pass must flag the edge in both document
 // kinds (a single-file lint cannot see it at all).
 func TestLintMergedConservation(t *testing.T) {
-	lossy := func() []*Trace {
-		p := 2
-		out := make([]*Trace, p)
-		for r := 0; r < p; r++ {
-			out[r] = NewTrace(p)
-			rec := out[r].Rank(r)
-			rec.Collective("Barrier", -1, 0, 0.1, rec.Now())
-			if r == 0 {
-				rec.Send(1, 5, 32, 0.1, 0.2)
-			}
-		}
-		return out
-	}
+	lossy := lossyTraces
 	if err := LintMerged(traceDocs(t, lossy())); err == nil ||
 		!strings.Contains(err.Error(), "conservation violated") {
 		t.Errorf("trace docs: want conservation finding, got %v", err)
@@ -235,5 +240,75 @@ func TestLintMergedSingleDoc(t *testing.T) {
 	}
 	if err := LintMerged([][]byte{[]byte("{")}); err == nil {
 		t.Error("single broken document: want an error")
+	}
+}
+
+// TestMergesRefuseWhatLintReports: every merge reads through the same
+// checks as LintMerged, so a lossy, swapped or mixed set fails each merge
+// with exactly LintMerged's findings and writes nothing.
+func TestMergesRefuseWhatLintReports(t *testing.T) {
+	swapped := func(docs [][]byte) [][]byte { return [][]byte{docs[1], docs[0]} }
+	traces := perRankTraces(2)
+	mixed := [][]byte{traceDocs(t, traces)[0], metricsDocs(t, traces)[1]}
+	sets := []struct {
+		name, kind string
+		docs       [][]byte
+	}{
+		{"lossy traces", "trace", traceDocs(t, lossyTraces())},
+		{"lossy metrics", "metrics", metricsDocs(t, lossyTraces())},
+		{"swapped traces", "trace", swapped(traceDocs(t, traces))},
+		{"swapped metrics", "metrics", swapped(metricsDocs(t, traces))},
+		{"mixed kinds", "", mixed},
+	}
+	for _, set := range sets {
+		lint := LintMerged(set.docs)
+		if lint == nil {
+			t.Fatalf("%s: LintMerged reports nothing", set.name)
+		}
+		merges := map[string]func() (int, error){
+			"Merge": func() (int, error) {
+				var buf bytes.Buffer
+				err := Merge(&buf, set.docs)
+				return buf.Len(), err
+			},
+		}
+		if set.kind != "metrics" {
+			merges["MergeTraces"] = func() (int, error) {
+				var buf bytes.Buffer
+				err := MergeTraces(&buf, set.docs)
+				return buf.Len(), err
+			}
+		}
+		if set.kind != "trace" {
+			merges["MergeMetrics"] = func() (int, error) {
+				m, err := MergeMetrics(set.docs)
+				if m != nil {
+					return 1, err
+				}
+				return 0, err
+			}
+		}
+		for name, merge := range merges {
+			n, err := merge()
+			if err == nil || err.Error() != lint.Error() {
+				t.Errorf("%s: %s returned %v, want LintMerged's findings:\n%v", set.name, name, err, lint)
+			}
+			if n != 0 {
+				t.Errorf("%s: %s wrote output for a refused set", set.name, name)
+			}
+		}
+	}
+}
+
+// TestMergeKindMismatch: a clean set of the other kind is refused by the
+// kind-specific merges.
+func TestMergeKindMismatch(t *testing.T) {
+	traces := perRankTraces(2)
+	var buf bytes.Buffer
+	if err := MergeTraces(&buf, metricsDocs(t, traces)); err == nil || buf.Len() != 0 {
+		t.Errorf("MergeTraces of metrics documents: got %v and %d bytes, want an error and nothing written", err, buf.Len())
+	}
+	if _, err := MergeMetrics(traceDocs(t, traces)); err == nil {
+		t.Error("MergeMetrics of trace documents: want an error")
 	}
 }

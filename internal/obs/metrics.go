@@ -110,9 +110,6 @@ func (t *Trace) Metrics() *Metrics {
 	m := &Metrics{Ranks: len(t.recs)}
 	m.TrafficBytes = make([][]int64, len(t.recs))
 	m.TrafficMsgs = make([][]int64, len(t.recs))
-	busySum, busyMax := 0.0, 0.0
-	agg := map[string]*opAgg{}
-	var aggOps []string
 	for r, rec := range t.recs {
 		m.Events += int(rec.nEvents.Load())
 		rm := RankMetrics{
@@ -140,14 +137,23 @@ func (t *Trace) Metrics() *Metrics {
 			if o.op == "Barrier" {
 				rm.BarrierWaitSim = om.SimS
 			}
-			a := agg[o.op]
-			if a == nil {
-				a = &opAgg{simH: &Hist{}, wallH: &Hist{}}
-				agg[o.op] = a
-				aggOps = append(aggOps, o.op)
-			}
-			a.fold(om)
 		}
+		m.PerRank = append(m.PerRank, rm)
+	}
+	m.total()
+	return m
+}
+
+// total sets the run-level fields from the PerRank rows: message and
+// byte totals, the makespan, the busy imbalance and the op aggregates.
+// Trace.Metrics and MergeMetrics both call it, so an in-process document
+// and the merge of its launched twin are totalled by one fold, in rank
+// order.
+func (m *Metrics) total() {
+	busySum, busyMax := 0.0, 0.0
+	agg := map[string]*opAgg{}
+	var aggOps []string
+	for _, rm := range m.PerRank {
 		m.TotalMsgs += rm.MsgsSent
 		m.TotalBytes += rm.BytesSent
 		if rm.SimTotal > m.SimMakespan {
@@ -157,16 +163,23 @@ func (t *Trace) Metrics() *Metrics {
 		if rm.SimBusy > busyMax {
 			busyMax = rm.SimBusy
 		}
-		m.PerRank = append(m.PerRank, rm)
+		for _, om := range rm.Ops {
+			a := agg[om.Op]
+			if a == nil {
+				a = &opAgg{simH: &Hist{}, wallH: &Hist{}}
+				agg[om.Op] = a
+				aggOps = append(aggOps, om.Op)
+			}
+			a.fold(om)
+		}
 	}
 	if busySum > 0 {
-		m.BusyImbalance = busyMax / (busySum / float64(len(t.recs)))
+		m.BusyImbalance = busyMax / (busySum / float64(len(m.PerRank)))
 	}
 	sort.Strings(aggOps)
 	for _, op := range aggOps {
 		m.Ops = append(m.Ops, agg[op].metrics(op))
 	}
-	return m
 }
 
 // loadRow loads one traffic-matrix row and returns it with its sum.
@@ -190,10 +203,10 @@ func (o *opRecord) metrics() OpMetrics {
 
 // opAgg folds per-rank OpMetrics rows into the run-level row. Folding
 // goes through the exported row (not the recorder's internal state) on
-// purpose: MergeMetrics replays exactly the same fold over rows parsed
-// from per-rank documents, so the merged run-level aggregate reproduces
-// the in-process one — sums in the same rank order, histograms as exact
-// bucket additions.
+// purpose: Metrics.total folds rows parsed from per-rank documents
+// exactly as it folds the recorders' rows, so the merged run-level
+// aggregate reproduces the in-process one — sums in the same rank
+// order, histograms as exact bucket additions.
 type opAgg struct {
 	count, wallNs, bytes int64
 	simS                 float64

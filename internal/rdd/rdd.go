@@ -22,6 +22,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/keyhash"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/prng"
@@ -287,7 +288,9 @@ func Sample[T any](d *Dataset[T], frac float64, seed uint64) *Dataset[T] {
 // ---------- Wide transformations (shuffle) ----------
 
 // shuffleByKey evaluates parent partitions and redistributes pairs into
-// nOut hash partitions.
+// nOut hash partitions, by the key hash MapReduce's exchange uses, so
+// keys equal under == land in one partition. Each partition keeps the
+// pairs in parent-partition order.
 func shuffleByKey[K comparable, V any](d *Dataset[Pair[K, V]], nOut int) [][]Pair[K, V] {
 	parts := collectParts(d)
 	out := make([][]Pair[K, V], nOut)
@@ -295,11 +298,46 @@ func shuffleByKey[K comparable, V any](d *Dataset[Pair[K, V]], nOut int) [][]Pai
 	for _, part := range parts {
 		records += int64(len(part))
 		for _, kv := range part {
-			h := int(hashAny(kv.Key) % uint64(nOut))
+			h := keyhash.Of(kv.Key) % uint64(nOut)
 			out[h] = append(out[h], kv)
 		}
 	}
 	d.ctx.noteShuffle(records)
+	return out
+}
+
+// shuffleFold shuffles d by key, once, when a partition is first asked
+// for, and turns each output partition into fold's pairs.
+func shuffleFold[K comparable, V, W any](d *Dataset[Pair[K, V]], fold func([]Pair[K, V]) []Pair[K, W]) *Dataset[Pair[K, W]] {
+	nOut := d.nParts
+	var once sync.Once
+	var out [][]Pair[K, W]
+	return newDataset(d.ctx, nOut, func(p int) []Pair[K, W] {
+		once.Do(func() {
+			buckets := shuffleByKey(d, nOut)
+			out = make([][]Pair[K, W], nOut)
+			for i, b := range buckets {
+				out[i] = fold(b)
+			}
+		})
+		return out[p]
+	})
+}
+
+// foldByKey returns one pair per key of in, keys in order of first
+// appearance: a key's first value becomes start(v), and each later one
+// is folded in by add, in record order.
+func foldByKey[K comparable, V, W any](in []Pair[K, V], start func(V) W, add func(W, V) W) []Pair[K, W] {
+	at := make(map[K]int, len(in))
+	var out []Pair[K, W]
+	for _, kv := range in {
+		if i, ok := at[kv.Key]; ok {
+			out[i].Value = add(out[i].Value, kv.Value)
+		} else {
+			at[kv.Key] = len(out)
+			out = append(out, Pair[K, W]{kv.Key, start(kv.Value)})
+		}
+	}
 	return out
 }
 
@@ -321,77 +359,22 @@ func MapValues[K comparable, V, W any](d *Dataset[Pair[K, V]], f func(V) W) *Dat
 
 // ReduceByKey merges all values of each key with op (associative,
 // commutative). It shuffles once; per-partition pre-aggregation (a
-// map-side combine) runs before the exchange, as in Spark.
+// map-side combine) runs before the exchange, as in Spark. Each output
+// partition lists its keys in order of first appearance, so Collect
+// returns the same order on every run.
 func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], op func(V, V) V) *Dataset[Pair[K, V]] {
-	// Map-side combine inside each parent partition.
-	combined := MapPartitions(d, func(_ int, in []Pair[K, V]) []Pair[K, V] {
-		m := make(map[K]V, len(in))
-		for _, kv := range in {
-			if cur, ok := m[kv.Key]; ok {
-				m[kv.Key] = op(cur, kv.Value)
-			} else {
-				m[kv.Key] = kv.Value
-			}
-		}
-		out := make([]Pair[K, V], 0, len(m))
-		for k, v := range m {
-			out = append(out, Pair[K, V]{k, v})
-		}
-		return out
-	})
-	nOut := d.nParts
-	var once sync.Once
-	var shuffled []map[K]V
-	materialize := func() {
-		buckets := shuffleByKey(combined, nOut)
-		shuffled = make([]map[K]V, nOut)
-		for p, b := range buckets {
-			m := make(map[K]V)
-			for _, kv := range b {
-				if cur, ok := m[kv.Key]; ok {
-					m[kv.Key] = op(cur, kv.Value)
-				} else {
-					m[kv.Key] = kv.Value
-				}
-			}
-			shuffled[p] = m
-		}
+	reduce := func(in []Pair[K, V]) []Pair[K, V] {
+		return foldByKey(in, func(v V) V { return v }, op)
 	}
-	return newDataset(d.ctx, nOut, func(p int) []Pair[K, V] {
-		once.Do(materialize)
-		m := shuffled[p]
-		out := make([]Pair[K, V], 0, len(m))
-		for k, v := range m {
-			out = append(out, Pair[K, V]{k, v})
-		}
-		return out
-	})
+	combined := MapPartitions(d, func(_ int, in []Pair[K, V]) []Pair[K, V] { return reduce(in) })
+	return shuffleFold(combined, reduce)
 }
 
-// GroupByKey gathers all values of each key into a slice.
+// GroupByKey gathers all values of each key into a slice, in record
+// order, keys in order of first appearance.
 func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[Pair[K, []V]] {
-	nOut := d.nParts
-	var once sync.Once
-	var shuffled []map[K][]V
-	materialize := func() {
-		buckets := shuffleByKey(d, nOut)
-		shuffled = make([]map[K][]V, nOut)
-		for p, b := range buckets {
-			m := make(map[K][]V)
-			for _, kv := range b {
-				m[kv.Key] = append(m[kv.Key], kv.Value)
-			}
-			shuffled[p] = m
-		}
-	}
-	return newDataset(d.ctx, nOut, func(p int) []Pair[K, []V] {
-		once.Do(materialize)
-		m := shuffled[p]
-		out := make([]Pair[K, []V], 0, len(m))
-		for k, vs := range m {
-			out = append(out, Pair[K, []V]{k, vs})
-		}
-		return out
+	return shuffleFold(d, func(in []Pair[K, V]) []Pair[K, []V] {
+		return foldByKey(in, func(v V) []V { return []V{v} }, func(vs []V, v V) []V { return append(vs, v) })
 	})
 }
 
@@ -433,7 +416,8 @@ func Join[K comparable, A, B any](left *Dataset[Pair[K, A]], right *Dataset[Pair
 	})
 }
 
-// Distinct removes duplicates (a shuffle by the element itself).
+// Distinct removes duplicates (a shuffle by the element itself); each
+// partition keeps its elements in order of first appearance.
 func Distinct[T comparable](d *Dataset[T]) *Dataset[T] {
 	keyed := Map(d, func(v T) Pair[T, struct{}] { return Pair[T, struct{}]{v, struct{}{}} })
 	reduced := ReduceByKey(keyed, func(a, _ struct{}) struct{} { return a })
@@ -536,40 +520,4 @@ func SaveAsText[T any](d *Dataset[T], path string) error {
 		}
 	}
 	return w.Flush()
-}
-
-// hashAny hashes any comparable key deterministically.
-func hashAny[K comparable](k K) uint64 {
-	switch v := any(k).(type) {
-	case int:
-		return mix64(uint64(v))
-	case int64:
-		return mix64(uint64(v))
-	case uint64:
-		return mix64(v)
-	case string:
-		h := uint64(14695981039346656037)
-		for i := 0; i < len(v); i++ {
-			h ^= uint64(v[i])
-			h *= 1099511628211
-		}
-		return h
-	default:
-		s := fmt.Sprint(v)
-		h := uint64(14695981039346656037)
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-		return h
-	}
-}
-
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
 }
